@@ -6,10 +6,11 @@ both symbolically (PBW normal ordering) and in finite-dimensional spin
 representations with exact rational-function matrix entries.
 """
 
-from .scalars import (LaurentPoly, RatFunc, ScalarDomain, SymbolicDomain,
-                      PointDomain, SYMBOLIC, q_integer, q_factorial,
-                      r_series_coefficient, evaluate_scalar,
-                      random_admissible_point, ForbiddenPointError, PoleError)
+from .scalars import (LaurentPoly, RatFunc, CycloFrac, ScalarDomain,
+                      SymbolicDomain, PointDomain, SYMBOLIC, q_integer,
+                      q_factorial, r_series_coefficient, cyclotomic,
+                      evaluate_scalar, random_admissible_point,
+                      ForbiddenPointError, PoleError, NonCyclotomicError)
 from .algebra import (PBWMonomial, TensorElement, ArityMismatchError,
                       InvalidPatternError, UnsupportedElementError,
                       normal_order_mul, casimir, commutator_F_En,
@@ -19,11 +20,10 @@ from .algebra import (PBWMonomial, TensorElement, ArityMismatchError,
                       pbw_element, generator, unit_element, zero_element,
                       random_element)
 from .representations import (ExactMatrix, SpinModule, TensorContext,
-                              SingularMatrixError, InternalMismatchError,
-                              spin_module, tensor_context, represent,
-                              r_matrix, r_matrix_inverse, r_tilde,
-                              r_tilde_inverse, r_series_term,
-                              permutation_operator, matrix_inverse,
+                              InternalMismatchError, spin_module,
+                              tensor_context, represent, r_matrix,
+                              r_matrix_inverse, r_tilde, r_tilde_inverse,
+                              r_series_term, permutation_operator,
                               embed_two_leg, intermediate_casimirs,
                               casimir_scalar_highest_weight,
                               coproduct_split_r)

@@ -9,16 +9,15 @@ residual count is zero.
 Suites run either in exact mode (over the symbolic field Q(s)) or in eval
 mode, where the whole computation is repeated over plain rationals at
 seeded random admissible sample points; a nonzero rational function is
-nonzero at almost every point, so eval mode reproduces exact verdicts at a
-fraction of the cost.
+nonzero at almost every point, so eval mode reproduces exact verdicts.  It
+rebuilds the whole pipeline at every point, so it costs more than one exact
+run.
 """
 
 from __future__ import annotations
 
-import os
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from . import algebra as alg
@@ -157,18 +156,7 @@ def check_structure(ctx: TensorContext, rng_seed: int = 0) -> list[CheckResult]:
 
     for two_j in sorted(set(ctx.spins)):
         t0 = time.perf_counter()
-        mod = reps.spin_module(two_j, domain)
-        ident = ExactMatrix.identity(mod.dim, domain.one)
-        qdiff = domain.q(1) - domain.q(-1)
-        diffs = [
-            mod.k * mod.e - (mod.e * mod.k).scale(domain.q(1)),
-            mod.k * mod.f - (mod.f * mod.k).scale(domain.q(-1)),
-            (mod.e * mod.f - mod.f * mod.e)
-            - (mod.k * mod.k - mod.kinv * mod.kinv).scale(domain.one / qdiff),
-            mod.k * mod.kinv - ident,
-            mod.gen_power("e", two_j + 1),
-            mod.gen_power("f", two_j + 1),
-        ]
+        diffs = reps.spin_module(two_j, domain).defining_relations()
         out.append(_make_result(f"structure.defining_relations[two_j={two_j}]",
                                 _params(ctx), diffs, t0))
 
@@ -604,23 +592,8 @@ def _suite_tasks(name: str, config: RunConfig, domain: ScalarDomain):
     return tasks
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("QAW_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _run_once(name: str, config: RunConfig, domain: ScalarDomain) -> list[CheckResult]:
-    tasks = _suite_tasks(name, config, domain)
-    workers = _worker_count()
-    if workers > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            groups = list(pool.map(lambda t: t(), tasks))
-    else:
-        groups = [t() for t in tasks]
-    results = [r for group in groups for r in group]
+    results = [r for task in _suite_tasks(name, config, domain) for r in task()]
     results.sort(key=lambda r: r.name)
     return results
 

@@ -19,18 +19,12 @@ s^(4 m_a m_b) on the weight pair (m_a, m_b).
 from __future__ import annotations
 
 import itertools
-import math
-from fractions import Fraction
 from functools import lru_cache, reduce
 
 from .algebra import (ArityMismatchError, PBWMonomial, TensorElement,
                       casimir, coproduct, extend_coproduct, generator,
                       pbw_element)
-from .scalars import ScalarDomain, RatFunc, LaurentPoly, laurent_divexact, laurent_gcd
-
-
-class SingularMatrixError(ArithmeticError):
-    """Raised when inverting a matrix that is singular over the scalar field."""
+from .scalars import ScalarDomain, LaurentPoly
 
 
 class InternalMismatchError(RuntimeError):
@@ -200,20 +194,26 @@ class SpinModule:
         self._pow_cache: dict[tuple[str, int], ExactMatrix] = {}
         self._verify()
 
-    def _verify(self):
+    def defining_relations(self) -> list[ExactMatrix]:
+        """The defining relations as must-be-zero matrices.
+
+        KE = qEK, KF = q^-1 FK, EF - FE = (K^2 - K^-2)/(q - q^-1),
+        K K^-1 = 1 and the nilpotency E^(two_j+1) = F^(two_j+1) = 0.
+        """
         d = self.domain
-        ident = ExactMatrix.identity(self.dim, d.one)
         qdiff = d.q(1) - d.q(-1)
-        rel = [
+        return [
             self.k * self.e - (self.e * self.k).scale(d.q(1)),
             self.k * self.f - (self.f * self.k).scale(d.q(-1)),
             (self.e * self.f - self.f * self.e)
             - (self.k * self.k - self.kinv * self.kinv).scale(d.one / qdiff),
-            self.k * self.kinv - ident,
+            self.k * self.kinv - ExactMatrix.identity(self.dim, d.one),
             self.gen_power("e", self.two_j + 1),
             self.gen_power("f", self.two_j + 1),
         ]
-        if any(not m.is_zero() for m in rel):
+
+    def _verify(self):
+        if any(not m.is_zero() for m in self.defining_relations()):
             raise InternalMismatchError(
                 f"defining relations fail on spin module two_j={self.two_j}")
 
@@ -330,16 +330,36 @@ def represent(x: TensorElement, ctx: TensorContext) -> ExactMatrix:
 # the R-matrix and its flipped companion
 # ---------------------------------------------------------------------------
 
-def _weight_diagonal(mod_a: SpinModule, mod_b: SpinModule) -> ExactMatrix:
-    """q^(2 H@H) on V_a @ V_b: diagonal entry s^(4 m_a m_b)."""
+def _weight_diagonal(mod_a: SpinModule, mod_b: SpinModule, sign: int = 1) -> ExactMatrix:
+    """q^(2 H@H) on V_a @ V_b (diagonal entry s^(4 m_a m_b)); sign=-1 gives its inverse."""
     d = mod_a.domain
     dim_b = mod_b.dim
     out = {}
     for ia, ta in enumerate(mod_a.two_m):
         for ib, tb in enumerate(mod_b.two_m):
             idx = ia * dim_b + ib
-            out[(idx, idx)] = d.s(ta * tb)
+            out[(idx, idx)] = d.s(sign * ta * tb)
     return ExactMatrix(mod_a.dim * dim_b, out)
+
+
+def _series(x: ExactMatrix, coeff, n_max: int, one) -> ExactMatrix:
+    """sum_{n=0}^{n_max} coeff(n) x^n, stopping once x^n vanishes (x is nilpotent)."""
+    total = ExactMatrix(x.dim)
+    term = ExactMatrix.identity(x.dim, one)
+    for n in range(n_max + 1):
+        if n:
+            term = term * x
+            if term.is_zero():
+                break
+        c = coeff(n)
+        if c:
+            total = total + term.scale(c)
+    return total
+
+
+def _r_nilpotent(mod_a: SpinModule, mod_b: SpinModule) -> ExactMatrix:
+    """X = E q^H @ q^-H F, the nilpotent part of the R-matrix series."""
+    return (mod_a.e * mod_a.k).kron(mod_b.kinv * mod_b.f)
 
 
 @lru_cache(maxsize=None)
@@ -351,14 +371,9 @@ def _r_core(mod_a: SpinModule, mod_b: SpinModule, extra_terms: int = 0) -> Exact
     the truncation check asserts).
     """
     d = mod_a.domain
-    x = (mod_a.e * mod_a.k).kron(mod_b.kinv * mod_b.f)
     bound = min(mod_a.two_j, mod_b.two_j) + extra_terms
-    total = ExactMatrix.identity(mod_a.dim * mod_b.dim, d.one)
-    term = None
-    for n in range(1, bound + 1):
-        term = x if term is None else term * x
-        total = total + term.scale(d.series_coeff(n))
-    return _weight_diagonal(mod_a, mod_b) * total
+    return _weight_diagonal(mod_a, mod_b) * _series(
+        _r_nilpotent(mod_a, mod_b), d.series_coeff, bound, d.one)
 
 
 @lru_cache(maxsize=None)
@@ -366,13 +381,7 @@ def _theta_core(mod_a: SpinModule, mod_b: SpinModule) -> ExactMatrix:
     """The reordered series Theta = sum_n a_n (F q^H @ q^-H E)^n."""
     d = mod_a.domain
     x = (mod_a.f * mod_a.k).kron(mod_b.kinv * mod_b.e)
-    bound = min(mod_a.two_j, mod_b.two_j)
-    total = ExactMatrix.identity(mod_a.dim * mod_b.dim, d.one)
-    term = None
-    for n in range(1, bound + 1):
-        term = x if term is None else term * x
-        total = total + term.scale(d.series_coeff(n))
-    return total
+    return _series(x, d.series_coeff, min(mod_a.two_j, mod_b.two_j), d.one)
 
 
 def _flip(mod_a: SpinModule, mod_b: SpinModule) -> ExactMatrix:
@@ -403,12 +412,32 @@ def _rt_core_two_ways(mod_a: SpinModule, mod_b: SpinModule):
 
 @lru_cache(maxsize=None)
 def _r_core_inverse(mod_a: SpinModule, mod_b: SpinModule) -> ExactMatrix:
-    return matrix_inverse(_r_core(mod_a, mod_b))
+    """R^-1 in closed form: (sum_n a_n(q^-1) X^n) q^(-2 H@H), X as in R.
+
+    The q-exponential series inverts by q -> q^-1 and x -> -x, so
+    a_n(q^-1) = (-1)^n q^(-n(n-1)) a_n(q).  The result is certified by the
+    product check R R^-1 = 1.
+    """
+    d = mod_a.domain
+
+    def coeff(n):
+        a = d.series_coeff(n) * d.q(-n * (n - 1))
+        return -a if n % 2 else a
+
+    inv = _series(_r_nilpotent(mod_a, mod_b), coeff,
+                  min(mod_a.two_j, mod_b.two_j), d.one) * _weight_diagonal(mod_a, mod_b, -1)
+    if not (_r_core(mod_a, mod_b) * inv).is_identity():
+        raise InternalMismatchError("closed-form R^-1 failed the product check")
+    return inv
 
 
 @lru_cache(maxsize=None)
 def _rt_core_inverse(mod_a: SpinModule, mod_b: SpinModule) -> ExactMatrix:
-    return matrix_inverse(_rt_core(mod_a, mod_b))
+    """Rtilde^-1: the flip-conjugate of the certified R^-1 on the swapped pair.
+
+    _rt_core asserts Rtilde = flip R_(b,a) flip^-1, so this is its inverse.
+    """
+    return _flip(mod_a, mod_b) * _r_core_inverse(mod_b, mod_a) * _flip(mod_b, mod_a)
 
 
 def _check_leg_pair(legs, ctx):
@@ -473,12 +502,9 @@ def r_series_term(legs: tuple[int, int], ctx: TensorContext, n: int) -> ExactMat
     a, b = _check_leg_pair(legs, ctx)
     mod_a, mod_b = ctx.modules[a - 1], ctx.modules[b - 1]
     d = ctx.domain
-    x = (mod_a.e * mod_a.k).kron(mod_b.kinv * mod_b.f)
-    term = ExactMatrix.identity(mod_a.dim * mod_b.dim, d.one)
-    for _ in range(n):
-        term = term * x
-    core = _weight_diagonal(mod_a, mod_b) * term.scale(d.series_coeff(n))
-    return embed_two_leg(core, legs, ctx)
+    term = _series(_r_nilpotent(mod_a, mod_b),
+                   lambda i: d.series_coeff(n) if i == n else d.zero, n, d.one)
+    return embed_two_leg(_weight_diagonal(mod_a, mod_b) * term, legs, ctx)
 
 
 def permutation_operator(legs: tuple[int, int], ctx: TensorContext) -> ExactMatrix:
@@ -494,116 +520,6 @@ def permutation_operator(legs: tuple[int, int], ctx: TensorContext) -> ExactMatr
         swapped[ia], swapped[ib] = swapped[ib], swapped[ia]
         out[(ctx.flat_index(swapped), ctx.flat_index(multi))] = one
     return ExactMatrix(ctx.total_dim, out)
-
-
-# ---------------------------------------------------------------------------
-# exact inverse by fraction-free elimination
-# ---------------------------------------------------------------------------
-
-def _lcm_poly(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    return laurent_divexact(a * b, laurent_gcd(a, b))
-
-
-def matrix_inverse(m: ExactMatrix) -> ExactMatrix:
-    """Exact inverse via fraction-free (Bareiss) Gaussian elimination.
-
-    Rows are first scaled to clear denominators; the scale factors seed the
-    augmented columns so that back substitution yields the inverse of the
-    original matrix directly.  The result is verified by a product check.
-    """
-    n = m.dim
-    symbolic = any(isinstance(v, RatFunc) for _, v in m.items())
-    rows: list[dict[int, object]] = [dict() for _ in range(n)]
-    if symbolic:
-        dens: list[LaurentPoly] = [LaurentPoly.one() for _ in range(n)]
-        for (r, c), v in m.items():
-            if not v.is_polynomial():
-                dens[r] = _lcm_poly(dens[r], v.den)
-        for (r, c), v in m.items():
-            rows[r][c] = v.num * laurent_divexact(dens[r], v.den)
-        for r in range(n):
-            rows[r][n + r] = dens[r]
-    else:
-        dens_i = [1] * n
-        for (r, c), v in m.items():
-            v = Fraction(v)
-            dens_i[r] = dens_i[r] * v.denominator // math.gcd(dens_i[r], v.denominator)
-        for (r, c), v in m.items():
-            v = Fraction(v)
-            rows[r][c] = v.numerator * (dens_i[r] // v.denominator)
-        for r in range(n):
-            rows[r][n + r] = dens_i[r]
-
-    def divexact(a, b):
-        if isinstance(a, LaurentPoly):
-            return laurent_divexact(a, b)
-        q, rem = divmod(a, b)
-        if rem:
-            raise ArithmeticError("inexact division in Bareiss step")
-        return q
-
-    def size(v):
-        return v.term_count() if isinstance(v, LaurentPoly) else abs(v)
-
-    prev = None
-    for k in range(n):
-        pivot_row = None
-        best = None
-        for r in range(k, n):
-            v = rows[r].get(k)
-            if v:
-                sz = size(v)
-                if best is None or sz < best:
-                    best = sz
-                    pivot_row = r
-        if pivot_row is None:
-            raise SingularMatrixError("matrix is singular over the scalar field")
-        if pivot_row != k:
-            rows[k], rows[pivot_row] = rows[pivot_row], rows[k]
-        pk = rows[k][k]
-        for r in range(k + 1, n):
-            vk = rows[r].pop(k, None)
-            old_row = rows[r]
-            # Bareiss one-step: every entry below the pivot row becomes
-            # (pk * a_rc - a_rk * a_kc) / prev, the division being exact.
-            support = set(old_row)
-            if vk is not None:
-                support.update(c for c in rows[k] if c > k)
-            new_row = {}
-            for c in support:
-                x = old_row.get(c)
-                val = pk * x if x is not None else None
-                if vk is not None:
-                    y = rows[k].get(c)
-                    if y is not None:
-                        piece = vk * y
-                        val = (val - piece) if val is not None else -piece
-                if val:
-                    new_row[c] = divexact(val, prev) if prev is not None else val
-            rows[r] = new_row
-        prev = pk
-
-    # Back substitution over the field; solution columns are m^-1 directly.
-    lift = RatFunc if symbolic else Fraction
-    inv_rows: list[dict[int, object]] = [dict() for _ in range(n)]
-    for i in reversed(range(n)):
-        pivot = lift(rows[i][i])
-        for j in range(n):
-            total = rows[i].get(n + j)
-            total = lift(total) if total is not None else None
-            for t in range(i + 1, n):
-                u = rows[i].get(t)
-                w = inv_rows[t].get(j)
-                if u and w is not None:
-                    piece = lift(u) * w
-                    total = -piece if total is None else total - piece
-            if total:
-                inv_rows[i][j] = total / pivot
-    inv = ExactMatrix(n, {(r, c): v for r, row in enumerate(inv_rows)
-                          for c, v in row.items()})
-    if not (m * inv).is_identity():
-        raise InternalMismatchError("inverse failed the product check")
-    return inv
 
 
 # ---------------------------------------------------------------------------
@@ -690,13 +606,4 @@ def coproduct_split_r(ctx: TensorContext, side: str) -> ExactMatrix:
                 i = ctx.flat_index((i1, i2, i3))
                 expo = t1 * (t2 + t3) if side == "id_coproduct" else (t1 + t2) * t3
                 diag[(i, i)] = d.s(expo)
-    total = ctx.identity()
-    term = ctx.identity()
-    n = 0
-    while True:
-        n += 1
-        term = term * x
-        if term.is_zero():
-            break
-        total = total + term.scale(d.series_coeff(n))
-    return ExactMatrix(ctx.total_dim, diag) * total
+    return ExactMatrix(ctx.total_dim, diag) * _series(x, d.series_coeff, ctx.total_dim, d.one)

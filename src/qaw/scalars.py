@@ -6,20 +6,28 @@ integer coefficients.  Working in s instead of q keeps all exponents
 integral: half-integer weights contribute odd powers of s, and the diagonal
 q**(2*m1*m2) factors never require symbolic square roots.
 
-Two value types implement the field:
+Three value types implement it:
 
   LaurentPoly -- sparse integer-coefficient Laurent polynomial in s
-  RatFunc     -- canonical quotient of two LaurentPoly values
+  RatFunc     -- canonical quotient of two LaurentPoly values, for any
+                 denominator; reduced by a polynomial gcd
+  CycloFrac   -- num / (c * prod Phi_k(s)**e_k), a LaurentPoly over a
+                 positive integer times cyclotomic polynomials; reduced by
+                 trial division by the Phi_k present, never a gcd
 
-Both are immutable and hashable.  The RatFunc canonical form (numerator and
-denominator coprime, denominator with minimal exponent 0 and positive
-leading coefficient) makes equality a structural check.
+All are immutable and hashable, and each has a unique reduced form, so
+equality is a structural check.  CycloFrac prints as the canonical RatFunc
+(numerator and denominator coprime, denominator with minimal exponent 0 and
+positive leading coefficient).  Every denominator the workbench produces
+(q-integers, q-factorials, q - q^-1, q + q^-1) is cyclotomic, so CycloFrac
+is the exact scalar of the symbolic domain; RatFunc stays the general-field
+reference.
 
-A :class:`ScalarDomain` selects between the symbolic field and exact
-rational evaluation at a fixed admissible point s0 (used for randomized
-Schwartz-Zippel style identity testing).  All algebra and representation
-code is written against the domain interface, so an entire verification
-suite can run either symbolically or over plain Fractions.
+A :class:`ScalarDomain` selects between the symbolic field (CycloFrac
+values) and exact rational evaluation at a fixed admissible point s0 (used
+for randomized Schwartz-Zippel style identity testing).  All algebra and
+representation code is written against the domain interface, so an entire
+verification suite can run either symbolically or over plain Fractions.
 """
 
 from __future__ import annotations
@@ -111,17 +119,22 @@ def _dense_divexact(a: list[int], b: list[int]) -> list[int]:
     if len(a) < len(b):
         raise ArithmeticError("inexact polynomial division")
     out = [0] * (len(a) - len(b) + 1)
+    db = len(b) - 1
     lb = b[-1]
+    rest = [(j, cb) for j, cb in enumerate(b[:-1]) if cb]
     for i in reversed(range(len(out))):
-        c = a[len(b) - 1 + i]
+        c = a[db + i]
         if c:
-            q, rem = divmod(c, lb)
-            if rem:
-                raise ArithmeticError("inexact polynomial division")
+            if lb == 1:
+                q = c
+            else:
+                q, rem = divmod(c, lb)
+                if rem:
+                    raise ArithmeticError("inexact polynomial division")
             out[i] = q
-            for j, cb in enumerate(b):
+            for j, cb in rest:
                 a[i + j] -= q * cb
-    if any(a):
+    if any(a[:db]):
         raise ArithmeticError("inexact polynomial division")
     return out
 
@@ -150,6 +163,14 @@ class LaurentPoly:
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
+
+    @classmethod
+    def _raw(cls, terms: dict[int, int]) -> LaurentPoly:
+        # Adopt a term map that already holds no zero coefficients, uncopied.
+        self = object.__new__(cls)
+        object.__setattr__(self, "_terms", terms)
+        object.__setattr__(self, "_hash", None)
+        return self
 
     # -- constructors
 
@@ -235,12 +256,12 @@ class LaurentPoly:
                 out[e] = v
             elif e in out:
                 del out[e]
-        return LaurentPoly(out)
+        return LaurentPoly._raw(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly({e: -c for e, c in self._terms.items()})
+        return LaurentPoly._raw({e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, int):
@@ -256,21 +277,25 @@ class LaurentPoly:
         if isinstance(other, int):
             if other == 0:
                 return _P_ZERO
-            return LaurentPoly({e: c * other for e, c in self._terms.items()})
+            return LaurentPoly._raw({e: c * other for e, c in self._terms.items()})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        if not self._terms or not other._terms:
+        a, b = self._terms, other._terms
+        if len(a) < len(b):
+            a, b = b, a
+        if not b:
             return _P_ZERO
+        if len(b) == 1:
+            # A monomial factor shifts and scales; no coefficient can vanish.
+            (e2, c2), = b.items()
+            return LaurentPoly._raw({e + e2: c * c2 for e, c in a.items()})
         out: dict[int, int] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
+        get = out.get
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
                 e = e1 + e2
-                v = out.get(e, 0) + c1 * c2
-                if v:
-                    out[e] = v
-                elif e in out:
-                    del out[e]
-        return LaurentPoly(out)
+                out[e] = get(e, 0) + c1 * c2
+        return LaurentPoly._raw({e: c for e, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -295,7 +320,7 @@ class LaurentPoly:
         """Multiply by s**k."""
         if k == 0 or not self._terms:
             return self
-        return LaurentPoly({e + k: c for e, c in self._terms.items()})
+        return LaurentPoly._raw({e + k: c for e, c in self._terms.items()})
 
     def evaluate(self, s0: Fraction) -> Fraction:
         total = Fraction(0)
@@ -370,7 +395,7 @@ def laurent_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
 # ---------------------------------------------------------------------------
 
 class RatFunc:
-    """Canonical fraction of two Laurent polynomials: the scalar field.
+    """Canonical fraction of two Laurent polynomials, for any denominator.
 
     Canonical form: numerator and denominator share no nonconstant factor
     and no integer content, the denominator has minimal exponent 0 (powers
@@ -544,8 +569,376 @@ def _canonical_pair(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, La
     return num, den
 
 
-_R_ZERO = RatFunc(0)
-_R_ONE = RatFunc(1)
+# ---------------------------------------------------------------------------
+# cyclotomic polynomials and their exact divisibility test
+# ---------------------------------------------------------------------------
+
+class NonCyclotomicError(ArithmeticError):
+    """Raised when an exact symbolic value would get a denominator that is not
+    +-s**m times an integer times a product of cyclotomic polynomials."""
+
+
+def _prime_factors(n: int) -> list[int]:
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def _totient(n: int) -> int:
+    for r in _prime_factors(n):
+        n -= n // r
+    return n
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin with the first twelve prime bases: exact below 3.3e24."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2:
+        return False
+    for b in bases:
+        if n % b == 0:
+            return n == b
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for b in bases:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def cyclotomic(k: int) -> LaurentPoly:
+    """The k-th cyclotomic polynomial Phi_k(s): monic, irreducible, Phi_k(0) = +-1."""
+    if k < 1:
+        raise ValueError("cyclotomic polynomials are indexed from 1")
+    p = LaurentPoly({k: 1, 0: -1})  # s^k - 1 is the product of Phi_d over d | k
+    for d in range(1, k):
+        if k % d == 0:
+            p = laurent_divexact(p, cyclotomic(d))
+    return p
+
+
+@lru_cache(maxsize=None)
+def _root_table(k: int) -> tuple[int, tuple[int, ...]]:
+    """A prime p = 1 (mod k) and the powers w**0 .. w**(k-1) of a primitive
+    k-th root of unity w modulo p.
+
+    The primitive k-th roots of unity mod p are exactly the roots of Phi_k
+    mod p, so Phi_k | f over Z implies f(w) = 0 (mod p).
+    """
+    m = (1 << 31) // k + 1
+    while not _is_prime(m * k + 1):
+        m += 1
+    p = m * k + 1
+    primes = _prime_factors(k)
+    g = 2
+    while True:
+        w = pow(g, (p - 1) // k, p)
+        if all(pow(w, k // r, p) != 1 for r in primes):
+            break
+        g += 1
+    table = [1] * k
+    for i in range(1, k):
+        table[i] = table[i - 1] * w % p
+    return p, tuple(table)
+
+
+def _divide_cyclotomic(f: LaurentPoly, k: int) -> LaurentPoly | None:
+    """f / Phi_k if Phi_k divides f exactly, else None.
+
+    A nonzero residue f(w) mod p proves that Phi_k does not divide f; a zero
+    residue is confirmed (or refuted) by exact division.
+    """
+    p, table = _root_table(k)
+    if sum(c * table[e % k] for e, c in f._terms.items()) % p:
+        return None
+    try:
+        return laurent_divexact(f, cyclotomic(k))
+    except ArithmeticError:
+        return None
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic_product(exps: tuple[tuple[int, int], ...]) -> LaurentPoly:
+    """prod Phi_k**e over the (k, e) pairs of exps."""
+    out = _P_ONE
+    for k, e in exps:
+        out = out * cyclotomic(k) ** e
+    return out
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic_factors(f: LaurentPoly) -> tuple[int, int, int, tuple[tuple[int, int], ...]]:
+    """Factor f = sign * s**shift * c * prod Phi_k**e by trial division.
+
+    Returns (sign, shift, c, exps) with c > 0 and exps sorted by k; raises
+    NonCyclotomicError if f has any other irreducible factor.
+    """
+    if f.is_zero():
+        raise ZeroDivisionError("division by the zero polynomial")
+    shift = f.min_exp()
+    sign = 1 if f.leading_coefficient() > 0 else -1
+    c = f.content()
+    rest = LaurentPoly._raw({e - shift: v // (sign * c) for e, v in f._terms.items()})
+    deg = rest.max_exp()
+    t = rest._terms
+    # Every Phi_k is monic with constant term +-1 and (anti)palindromic, so a
+    # product of them is too; this rejects most other polynomials at once.
+    if abs(t[0]) != 1 or any(t.get(deg - e) not in (v, -v) for e, v in t.items()):
+        raise NonCyclotomicError(f"{f.text()} has a non-cyclotomic factor")
+    exps = []
+    k = 0
+    while deg > 0:
+        k += 1
+        if k > max(6, deg * deg):  # phi(k) >= sqrt(k) for k > 6
+            raise NonCyclotomicError(f"{f.text()} has a non-cyclotomic factor")
+        if _totient(k) > deg:
+            continue
+        e = 0
+        while (q := _divide_cyclotomic(rest, k)) is not None:
+            rest, e = q, e + 1
+        if e:
+            exps.append((k, e))
+            deg = rest.max_exp()
+    return sign, shift, c, tuple(exps)
+
+
+# ---------------------------------------------------------------------------
+# CycloFrac: the exact scalar of the symbolic domain
+# ---------------------------------------------------------------------------
+
+class CycloFrac:
+    """num / (c * prod Phi_k(s)**e_k): a rational function with a cyclotomic
+    denominator, the scalar that ``SYMBOLIC`` computes with.
+
+    Every denominator the workbench meets (q-integers, q-factorials,
+    q - q^-1, q + q^-1) is such a product, so products add exponents, sums
+    take exponent maxima, and cancellation is trial division by the few
+    Phi_k present -- never a polynomial gcd.  Values are kept reduced: no
+    Phi_k with e_k > 0 divides num, and gcd(content(num), c) = 1.  This form
+    is unique, so equality and hashing are structural, and it expands to the
+    canonical RatFunc form term for term.  Dividing by a value whose
+    numerator has a non-cyclotomic factor raises NonCyclotomicError.
+    """
+
+    __slots__ = ("num", "c", "den", "_hash")
+
+    def __init__(self, num=0, den=1):
+        num = _as_poly(num)
+        sign, shift, c, exps = _cyclotomic_factors(_as_poly(den))
+        r = _reduced(num.shifted(-shift) * sign, c, dict(exps))
+        object.__setattr__(self, "num", r.num)
+        object.__setattr__(self, "c", r.c)
+        object.__setattr__(self, "den", r.den)
+        object.__setattr__(self, "_hash", None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("CycloFrac is immutable")
+
+    @classmethod
+    def _raw(cls, num: LaurentPoly, c: int = 1,
+             den: tuple[tuple[int, int], ...] = ()) -> CycloFrac:
+        # Bypass reduction for inputs already in reduced form.
+        self = object.__new__(cls)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "_hash", None)
+        return self
+
+    # -- conversion and inspection
+
+    def to_ratfunc(self) -> RatFunc:
+        """The same value in canonical RatFunc form (no gcd needed)."""
+        return RatFunc._raw(self.num, _cyclotomic_product(self.den) * self.c)
+
+    def is_zero(self) -> bool:
+        return self.num.is_zero()
+
+    def __bool__(self) -> bool:
+        return bool(self.num)
+
+    def term_count(self) -> int:
+        return self.to_ratfunc().term_count()
+
+    def evaluate(self, s0: Fraction) -> Fraction:
+        return self.to_ratfunc().evaluate(s0)
+
+    def text(self) -> str:
+        return self.to_ratfunc().text()
+
+    def __repr__(self) -> str:
+        return f"CycloFrac({self.text()!r})"
+
+    # -- arithmetic
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, CycloFrac):
+            return self.num == other.num and self.c == other.c and self.den == other.den
+        if isinstance(other, (int, LaurentPoly, RatFunc)):
+            return self.to_ratfunc() == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash((self.num, self.c, self.den))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __neg__(self):
+        return CycloFrac._raw(-self.num, self.c, self.den)
+
+    def __add__(self, other):
+        if other.__class__ is not CycloFrac and (other := _lift(other)) is None:
+            return NotImplemented
+        if not other.num:
+            return self
+        if not self.num:
+            return other
+        if self.den == other.den and self.c == other.c:
+            if not self.den and self.c == 1:
+                return CycloFrac._raw(self.num + other.num)
+            return _reduced(self.num + other.num, self.c, dict(self.den))
+        da, db = dict(self.den), dict(other.den)
+        common = {k: max(da.get(k, 0), db.get(k, 0)) for k in da.keys() | db.keys()}
+        c = self.c * other.c // math.gcd(self.c, other.c)
+        num = (_cofactor(self.num, common, da, c // self.c)
+               + _cofactor(other.num, common, db, c // other.c))
+        return _reduced(num, c, common)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if (other := _lift(other)) is None:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        if other.__class__ is not CycloFrac and (other := _lift(other)) is None:
+            return NotImplemented
+        a, b = self.num, other.num
+        if not a or not b:
+            return _C_ZERO
+        if not self.den and not other.den and self.c == 1 and other.c == 1:
+            return CycloFrac._raw(a * b)
+        # Both operands are reduced and each Phi_k is irreducible, so a
+        # factor can only cancel against the other operand's numerator.
+        b, da = _cancel(b, self.den)
+        a, db = _cancel(a, other.den)
+        ca, cb = self.c, other.c
+        if ca > 1:
+            g = math.gcd(ca, b.content())
+            if g > 1:
+                b, ca = _divide_content(b, g), ca // g
+        if cb > 1:
+            g = math.gcd(cb, a.content())
+            if g > 1:
+                a, cb = _divide_content(a, g), cb // g
+        for k, e in db.items():
+            da[k] = da.get(k, 0) + e
+        return CycloFrac._raw(a * b, ca * cb, _exponent_tuple(da))
+
+    __rmul__ = __mul__
+
+    def inverse(self) -> CycloFrac:
+        if not self.num:
+            raise ZeroDivisionError("inverting the zero scalar")
+        sign, shift, c, exps = _cyclotomic_factors(self.num)
+        num = (_cyclotomic_product(self.den) * (sign * self.c)).shifted(-shift)
+        return CycloFrac._raw(num, c, exps)
+
+    def __truediv__(self, other):
+        if (other := _lift(other)) is None:
+            return NotImplemented
+        return self * other.inverse()
+
+    def __rtruediv__(self, other):
+        if (other := _lift(other)) is None:
+            return NotImplemented
+        return other * self.inverse()
+
+    def __pow__(self, n: int):
+        if n < 0:
+            return self.inverse() ** (-n)
+        if n == 0:
+            return _C_ONE
+        # A power of a reduced value is reduced (Gauss's lemma, Phi_k irreducible).
+        return CycloFrac._raw(self.num ** n, self.c ** n,
+                              tuple((k, e * n) for k, e in self.den))
+
+
+def _lift(x) -> CycloFrac | None:
+    """x as a CycloFrac if it is one, an int or a LaurentPoly; else None."""
+    if isinstance(x, CycloFrac):
+        return x
+    if isinstance(x, (int, LaurentPoly)):
+        return CycloFrac._raw(_as_poly(x))
+    return None
+
+
+def _exponent_tuple(exps: dict[int, int]) -> tuple[tuple[int, int], ...]:
+    return tuple(sorted((k, e) for k, e in exps.items() if e))
+
+
+def _divide_content(f: LaurentPoly, g: int) -> LaurentPoly:
+    return LaurentPoly._raw({e: v // g for e, v in f._terms.items()})
+
+
+def _cancel(f: LaurentPoly, den: tuple[tuple[int, int], ...]) -> tuple[LaurentPoly, dict[int, int]]:
+    """Divide f by each Phi_k**e of den as far as it goes; return f and what is left of den."""
+    left = dict(den)
+    if len(f._terms) > 1:  # c*s^m has no cyclotomic factor
+        for k, e in den:
+            while e and (q := _divide_cyclotomic(f, k)) is not None:
+                f, e = q, e - 1
+            left[k] = e
+    return f, left
+
+
+def _cofactor(num: LaurentPoly, common: dict[int, int], own: dict[int, int],
+              scale: int) -> LaurentPoly:
+    """num brought from its own denominator to the common one."""
+    missing = _exponent_tuple({k: e - own.get(k, 0) for k, e in common.items()})
+    if missing:
+        num = num * _cyclotomic_product(missing)
+    return num * scale if scale != 1 else num
+
+
+def _reduced(num: LaurentPoly, c: int, exps: dict[int, int]) -> CycloFrac:
+    """num / (c * prod Phi_k**e) in reduced form; c > 0 and exps maps k to e >= 0."""
+    if not num:
+        return _C_ZERO
+    num, left = _cancel(num, _exponent_tuple(exps))
+    if c > 1:
+        g = math.gcd(c, num.content())
+        if g > 1:
+            num, c = _divide_content(num, g), c // g
+    return CycloFrac._raw(num, c, _exponent_tuple(left))
+
+
+_C_ZERO = CycloFrac._raw(_P_ZERO)
+_C_ONE = CycloFrac._raw(_P_ONE)
 
 
 # ---------------------------------------------------------------------------
@@ -596,11 +989,9 @@ def check_admissible_point(s0: Fraction) -> Fraction:
 
 
 def evaluate_scalar(x, s0: Fraction) -> Fraction:
-    """Exact value of a LaurentPoly or RatFunc at an admissible rational point."""
+    """Exact value of a LaurentPoly, RatFunc or CycloFrac at an admissible rational point."""
     s0 = check_admissible_point(s0)
-    if isinstance(x, LaurentPoly):
-        return x.evaluate(s0)
-    if isinstance(x, RatFunc):
+    if isinstance(x, (LaurentPoly, RatFunc, CycloFrac)):
         return x.evaluate(s0)
     raise TypeError(f"cannot evaluate {x!r}")
 
@@ -621,7 +1012,7 @@ def random_admissible_point(rng: random.Random) -> Fraction:
 class ScalarDomain:
     """Factory interface for the scalars a computation runs over.
 
-    ``SYMBOLIC`` produces exact RatFunc values; ``PointDomain(s0)`` produces
+    ``SYMBOLIC`` produces exact CycloFrac values; ``PointDomain(s0)`` produces
     plain Fractions obtained by substituting s = s0.  Values from either
     domain support +, -, *, /, ==, and are falsy exactly when zero, which is
     all the algebra and matrix layers rely on.
@@ -667,25 +1058,25 @@ class ScalarDomain:
 
 
 class SymbolicDomain(ScalarDomain):
-    """Exact computation over the field Q(s)."""
+    """Exact computation over the field Q(s), in CycloFrac values."""
 
     mode = "exact"
 
     def s(self, k: int):
-        return RatFunc._raw(LaurentPoly.s_power(k), _P_ONE)
+        return CycloFrac._raw(LaurentPoly.s_power(k))
 
     def integer(self, c: int):
         if c == 0:
-            return _R_ZERO
+            return _C_ZERO
         if c == 1:
-            return _R_ONE
-        return RatFunc._raw(LaurentPoly.constant(c), _P_ONE)
+            return _C_ONE
+        return CycloFrac._raw(LaurentPoly.constant(c))
 
     def from_laurent(self, p: LaurentPoly):
-        return RatFunc._raw(p, _P_ONE)
+        return CycloFrac._raw(p)
 
     def from_ratio(self, num: LaurentPoly, den: LaurentPoly):
-        return RatFunc(num, den)
+        return CycloFrac(num, den)
 
     def describe(self) -> str:
         return "exact"

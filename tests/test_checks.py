@@ -155,13 +155,3 @@ class TestEvalMode:
 def test_suite_names_frozen():
     assert SUITE_NAMES == ("structure", "rmatrix", "theorem", "tau", "aw3",
                            "aw3-symbolic", "aw4", "all")
-
-
-def test_thread_fanout_is_deterministic(monkeypatch):
-    cfg = RunConfig(suite="all", spins=(1, 1, 1))
-    sequential = run_suite("all", cfg)
-    monkeypatch.setenv("QAW_THREADS", "4")
-    threaded = run_suite("all", cfg)
-    strip = lambda rep: [(c.name, c.passed, c.residual_terms) for c in rep.checks]
-    assert strip(sequential) == strip(threaded)
-    assert threaded.passed

@@ -8,14 +8,14 @@ from qaw.algebra import (ArityMismatchError, casimir, coproduct, coproduct_op,
                          extend_coproduct, generator, random_element,
                          unit_element)
 from qaw.representations import (ExactMatrix, InternalMismatchError,
-                                 SingularMatrixError, casimir_scalar_highest_weight,
+                                 casimir_scalar_highest_weight,
                                  coproduct_split_r, embed_two_leg,
-                                 intermediate_casimirs, matrix_inverse,
+                                 intermediate_casimirs,
                                  permutation_operator, r_matrix,
                                  r_matrix_inverse, r_series_term, r_tilde,
                                  r_tilde_inverse, represent, spin_module,
                                  tensor_context)
-from qaw.scalars import SYMBOLIC, PointDomain, LaurentPoly, RatFunc, q_integer
+from qaw.scalars import SYMBOLIC, PointDomain, RatFunc, q_integer
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -172,50 +172,24 @@ class TestRTilde:
 
 
 class TestMatrixInverse:
-    def test_identity(self):
-        ident = ExactMatrix.identity(4, D.one)
-        assert matrix_inverse(ident) == ident
-
-    def test_diagonal_s_powers(self):
-        m = ExactMatrix.diagonal([D.s(2), D.s(-3), D.s(1)])
-        assert matrix_inverse(m) == ExactMatrix.diagonal([D.s(-2), D.s(3), D.s(-1)])
-
     def test_r_matrix_inverse_product(self):
         ctx = tensor_context((1, 1), D)
         rr = r_matrix((1, 2), ctx)
-        inv = matrix_inverse(rr)
+        inv = r_matrix_inverse((1, 2), ctx)
         assert (rr * inv).is_identity()
         assert (inv * rr).is_identity()
-        assert r_matrix_inverse((1, 2), ctx) == inv
 
-    def test_random_rational_function_matrices(self):
-        rng = random.Random(23)
-        for _ in range(4):
-            n = rng.randint(1, 5)
-            entries = {}
-            for r in range(n):
-                for c in range(n):
-                    if rng.random() < 0.7:
-                        num = LaurentPoly({rng.randint(-2, 2): rng.randint(-3, 3)})
-                        den = LaurentPoly({0: 1, rng.randint(1, 2): rng.randint(0, 2)})
-                        entries[(r, c)] = RatFunc(num, den)
-            m = ExactMatrix(n, entries)
-            try:
-                inv = matrix_inverse(m)
-            except SingularMatrixError:
-                continue
-            assert (m * inv).is_identity()
-
-    def test_fraction_entries(self):
-        m = ExactMatrix(2, {(0, 0): Fraction(1, 2), (0, 1): Fraction(3),
-                            (1, 0): Fraction(2, 5), (1, 1): Fraction(1)})
-        inv = matrix_inverse(m)
-        assert (m * inv).is_identity()
-
-    def test_singular(self):
-        m = ExactMatrix(2, {(0, 0): D.one, (1, 0): D.one})
-        with pytest.raises(SingularMatrixError):
-            matrix_inverse(m)
+    @pytest.mark.parametrize("domain", [D, PointDomain(Fraction(5, 3))],
+                             ids=["symbolic", "point"])
+    @pytest.mark.parametrize("spins", [(1, 2), (2, 3), (4, 4), (6, 5)])
+    def test_closed_form_inverses(self, spins, domain):
+        ctx = tensor_context(spins, domain)
+        rr, rr_inv = r_matrix((1, 2), ctx), r_matrix_inverse((1, 2), ctx)
+        assert (rr * rr_inv).is_identity()
+        assert (rr_inv * rr).is_identity()
+        rt, rt_inv = r_tilde((1, 2), ctx), r_tilde_inverse((1, 2), ctx)
+        assert (rt * rt_inv).is_identity()
+        assert (rt_inv * rt).is_identity()
 
 
 class TestPermutationAndEmbedding:

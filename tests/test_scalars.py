@@ -3,11 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from qaw.scalars import (SYMBOLIC, ForbiddenPointError, LaurentPoly,
-                         PointDomain, PoleError, RatFunc, evaluate_scalar,
+from qaw.scalars import (SYMBOLIC, CycloFrac, ForbiddenPointError,
+                         LaurentPoly, NonCyclotomicError, PointDomain,
+                         PoleError, RatFunc, cyclotomic, evaluate_scalar,
                          laurent_divexact, laurent_gcd, q_factorial,
                          q_integer, r_series_coefficient,
                          random_admissible_point)
+from qaw.scalars import _root_table
 
 
 def P(terms):
@@ -132,6 +134,72 @@ class TestRatFunc:
     def test_text(self):
         x = RatFunc(P({-2: 3, 4: 1}), P({0: 2}))
         assert x.text() == "(3*s^-2 + 1*s^4)/(2*s^0)"
+
+
+class TestCycloFrac:
+    QDIFF = P({2: 1, -2: -1})
+    QSUM = P({2: 1, -2: 1})
+
+    def _cyclotomic_poly(self, rng):
+        f = LaurentPoly.constant(rng.choice([1, -1, 2, 3, 6]))
+        for _ in range(rng.randint(0, 3)):
+            f = f * rng.choice([q_integer(rng.randint(1, 7)), self.QDIFF,
+                                self.QSUM, P({1: 1})])
+        return f
+
+    def _pair(self, rng, cyclotomic_num=False):
+        if cyclotomic_num:
+            num = self._cyclotomic_poly(rng)
+        else:
+            num = LaurentPoly({rng.randint(-6, 6): rng.randint(-9, 9)
+                               for _ in range(rng.randint(0, 4))})
+        den = self._cyclotomic_poly(rng)
+        return CycloFrac(num, den), RatFunc(num, den)
+
+    def test_matches_ratfunc(self):
+        # RatFunc (gcd canonicalization) is the reference for every operation.
+        rng = random.Random(5)
+        for _ in range(300):
+            a, ra = self._pair(rng)
+            b, rb = self._pair(rng)
+            unit, runit = self._pair(rng, cyclotomic_num=True)
+            n = rng.randint(-3, 3)
+            assert (a + b).text() == (ra + rb).text()
+            assert (a - b).text() == (ra - rb).text()
+            assert (a * b).text() == (ra * rb).text()
+            assert (a / unit).text() == (ra / runit).text()
+            assert (a ** abs(n)).text() == (ra ** abs(n)).text()
+            assert (unit ** n).text() == (runit ** n).text()
+            assert a * b == ra * rb
+
+    def test_reduced_form(self):
+        x = SYMBOLIC.one / (SYMBOLIC.q(1) - SYMBOLIC.q(-1))
+        assert (x.num, x.c, x.den) == (P({2: 1}), 1, ((1, 1), (2, 1), (4, 1)))
+        assert x == RatFunc(self.QDIFF).inverse()
+        assert x * SYMBOLIC.from_laurent(self.QDIFF) == SYMBOLIC.one
+        assert CycloFrac(P({0: 4}), P({0: 6})).text() == "(2*s^0)/(3*s^0)"
+
+    def test_false_zero_residue_is_refuted(self):
+        # p(1 + s) vanishes mod p at every root of unity, yet s - 1 does not divide it.
+        p = _root_table(1)[0]
+        x = CycloFrac(P({0: p, 1: p}), P({1: 1, 0: -1}))
+        assert x.den == ((1, 1),)
+        assert x.text() == RatFunc(P({0: p, 1: p}), P({1: 1, 0: -1})).text()
+
+    def test_non_cyclotomic_division_raises(self):
+        bad = SYMBOLIC.from_laurent(P({0: 1, 1: 2}))
+        with pytest.raises(NonCyclotomicError):
+            SYMBOLIC.one / bad
+        with pytest.raises(NonCyclotomicError):
+            SYMBOLIC.from_ratio(LaurentPoly.one(), P({0: 1, 1: 3, 2: 1}))
+
+    def test_cyclotomic_polynomials(self):
+        for n in range(1, 31):
+            prod = LaurentPoly.one()
+            for d in range(1, n + 1):
+                if n % d == 0:
+                    prod = prod * cyclotomic(d)
+            assert prod == P({n: 1, 0: -1})
 
 
 class TestQNumbers:
