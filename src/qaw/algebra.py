@@ -24,10 +24,9 @@ from __future__ import annotations
 
 import itertools
 import random
-from functools import lru_cache
 from typing import Iterable, NamedTuple
 
-from .scalars import ScalarDomain
+from .scalars import ScalarDomain, domain_memo
 
 
 class ArityMismatchError(ValueError):
@@ -232,7 +231,7 @@ def random_element(domain: ScalarDomain, arity: int, rng: random.Random,
 # the normal-ordering engine
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+@domain_memo
 def _ef_terms(domain: ScalarDomain, e_pow: int, f_pow: int):
     """PBW form of E^e_pow F^f_pow, as a tuple of (monomial, coefficient).
 
@@ -272,7 +271,7 @@ def _ef_terms(domain: ScalarDomain, e_pow: int, f_pow: int):
     return tuple(sorted(acc.items(), key=lambda kv: kv[0]))
 
 
-@lru_cache(maxsize=None)
+@domain_memo
 def _mono_mul(domain: ScalarDomain, m1: PBWMonomial, m2: PBWMonomial):
     """Normal form of the product of two PBW monomials, as (monomial, coeff) pairs."""
     # Move K^k1 through F^f2 E^e2: picks up q^(k1*(e2 - f2)).
@@ -361,7 +360,7 @@ def commutator_F_En(domain: ScalarDomain, n: int) -> TensorElement:
 # coproducts
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+@domain_memo
 def _coproduct_mono(domain: ScalarDomain, mono: PBWMonomial) -> TensorElement:
     cop_f = TensorElement(domain, 2, {
         (PBWMonomial(1, 0, 0), PBWMonomial(0, 0, -1)): domain.one,

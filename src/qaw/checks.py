@@ -305,25 +305,15 @@ def check_theorem_c13(ctx: TensorContext) -> list[CheckResult]:
             diffs.append(a * b - b * a)
     out.append(_make_result("theorem.central_elements_commute", _params(ctx), diffs, t0))
 
-    r23 = reps.r_matrix((2, 3), ctx)
-    rt23 = reps.r_tilde((2, 3), ctx)
-    r23i = reps.r_matrix_inverse((2, 3), ctx)
-    rt23i = reps.r_tilde_inverse((2, 3), ctx)
-    t0 = time.perf_counter()
-    conj = r23 * rt23
-    conj_inv = rt23i * r23i
-    out.append(_make_result("theorem.conjugation_r23", _params(ctx),
-                            [ic["C13_1"] - conj * ic["C13_0"] * conj_inv], t0))
-
-    r12 = reps.r_matrix((1, 2), ctx)
-    rt12 = reps.r_tilde((1, 2), ctx)
-    r12i = reps.r_matrix_inverse((1, 2), ctx)
-    rt12i = reps.r_tilde_inverse((1, 2), ctx)
-    t0 = time.perf_counter()
-    conj = r12 * rt12
-    conj_inv = rt12i * r12i
-    out.append(_make_result("theorem.conjugation_r12", _params(ctx),
-                            [ic["C13_1"] - conj_inv * ic["C13_0"] * conj], t0))
+    # C13_1 = (R23 Rt23) C13_0 (R23 Rt23)^-1 = (R12 Rt12)^-1 C13_0 (R12 Rt12).
+    for legs, inverse_left in (((2, 3), False), ((1, 2), True)):
+        r, rt = reps.r_matrix(legs, ctx), reps.r_tilde(legs, ctx)
+        ri, rti = reps.r_matrix_inverse(legs, ctx), reps.r_tilde_inverse(legs, ctx)
+        t0 = time.perf_counter()
+        conj, conj_inv = r * rt, rti * ri
+        left, right = (conj_inv, conj) if inverse_left else (conj, conj_inv)
+        out.append(_make_result(f"theorem.conjugation_r{legs[0]}{legs[1]}", _params(ctx),
+                                [ic["C13_1"] - left * ic["C13_0"] * right], t0))
 
     t0 = time.perf_counter()
     sym = reps.represent(alg.c13_zero_symbolic(domain), ctx)
@@ -340,6 +330,17 @@ def _tau_matrix(pair: TensorContext, mat: ExactMatrix) -> ExactMatrix:
     """Matrix form of the left coaction: Rtilde^-1 (1 @ mat) Rtilde on the pair."""
     lifted = ExactMatrix.identity(pair.dims[0], pair.domain.one).kron(mat)
     return reps.r_tilde_inverse((1, 2), pair) * lifted * reps.r_tilde((1, 2), pair)
+
+
+def _id_tau_matrix(x: TensorElement, ctx3: TensorContext) -> ExactMatrix:
+    """(id @ tau)(x) on a 3-leg context: sum of c u @ tau(v) over the terms c u@v of x."""
+    pair23 = tensor_context(ctx3.spins[1:], ctx3.domain)
+    acc = None
+    for (u, v), coeff in x.items():
+        term = ctx3.modules[0].monomial(u).kron(
+            _tau_matrix(pair23, ctx3.modules[2].monomial(v))).scale(coeff)
+        acc = term if acc is None else acc + term
+    return acc
 
 
 def check_tau(ctx2: TensorContext, ctx3: TensorContext) -> list[CheckResult]:
@@ -359,20 +360,12 @@ def check_tau(ctx2: TensorContext, ctx3: TensorContext) -> list[CheckResult]:
         out.append(_make_result(f"tau.closed_form[{name}]",
                                 _params(ctx2), [closed - conjugated], t0))
 
-    pair23 = tensor_context((ctx3.spins[1], ctx3.spins[2]), domain)
-    leg1 = tensor_context((ctx3.spins[0],), domain)
-    leg3 = tensor_context((ctx3.spins[2],), domain)
     for name, x in args.items():
         t0 = time.perf_counter()
         tau_x = alg.tau_closed_form(x)
         lhs = reps.represent(alg.coproduct_on_leg(tau_x, 1), ctx3)
-        acc = None
-        for (u, v), coeff in tau_x.items():
-            term = leg1.modules[0].monomial(u).kron(
-                _tau_matrix(pair23, leg3.modules[0].monomial(v))).scale(coeff)
-            acc = term if acc is None else acc + term
         out.append(_make_result(f"tau.left_coaction[{name}]",
-                                _params(ctx3), [lhs - acc], t0))
+                                _params(ctx3), [lhs - _id_tau_matrix(tau_x, ctx3)], t0))
 
     pair13 = tensor_context((ctx3.spins[0], ctx3.spins[2]), domain)
     split = reps.coproduct_split_r(ctx3, "id_coproduct")
@@ -394,12 +387,7 @@ def check_tau(ctx2: TensorContext, ctx3: TensorContext) -> list[CheckResult]:
                                 _params(ctx3), [lhs * split - split * x1], t0))
 
     t0 = time.perf_counter()
-    cop_c = alg.coproduct(alg.casimir(domain))
-    acc = None
-    for (u, v), coeff in cop_c.items():
-        term = leg1.modules[0].monomial(u).kron(
-            _tau_matrix(pair23, leg3.modules[0].monomial(v))).scale(coeff)
-        acc = term if acc is None else acc + term
+    acc = _id_tau_matrix(alg.coproduct(alg.casimir(domain)), ctx3)
     c13 = reps.represent(alg.extend_coproduct(alg.casimir(domain), (1, 3), 3), ctx3)
     direct = reps.r_tilde_inverse((2, 3), ctx3) * c13 * reps.r_tilde((2, 3), ctx3)
     out.append(_make_result("tau.c13_via_coaction", _params(ctx3), [acc - direct], t0))
@@ -416,6 +404,22 @@ def _q_comm_matrices(domain, x: ExactMatrix, y: ExactMatrix,
     if reverse:
         qp, qm = qm, qp
     return (x * y).scale(qp) - (y * x).scale(qm)
+
+
+def _bracket_calibration(name: str, params: dict, chosen, rejected,
+                         started: float) -> CheckResult:
+    """The relation's difference must vanish for the chosen bracket, not the reversed one."""
+    entries = _residual_entries(chosen)
+    residual = len(entries) + (1 if rejected.is_zero() else 0)
+    return CheckResult(
+        name=name,
+        params=dict(params, convention="q*xy - 1/q*yx"),
+        passed=residual == 0,
+        residual_terms=residual,
+        witness="" if residual == 0 else "rejected bracket convention also satisfied"
+        if rejected.is_zero() else entries[0],
+        runtime_ms=int((time.perf_counter() - started) * 1000),
+    )
 
 
 def check_aw3(ctx: TensorContext) -> list[CheckResult]:
@@ -451,16 +455,8 @@ def check_aw3(ctx: TensorContext) -> list[CheckResult]:
     rhs = c13_0 + c1c3 + c2c123
     chosen = _q_comm_matrices(domain, c12, c23).scale(inv_qdiff) - rhs
     rejected = _q_comm_matrices(domain, c12, c23, reverse=True).scale(inv_qdiff) - rhs
-    residual = chosen.nnz() + (0 if not rejected.is_zero() else 1)
-    out.append(CheckResult(
-        name="aw3.bracket_calibration",
-        params=_params(ctx, convention="q*xy - 1/q*yx"),
-        passed=residual == 0,
-        residual_terms=residual,
-        witness="" if residual == 0 else "rejected bracket convention also satisfied"
-        if rejected.is_zero() else _residual_entries(chosen)[0],
-        runtime_ms=int((time.perf_counter() - t0) * 1000),
-    ))
+    out.append(_bracket_calibration("aw3.bracket_calibration", _params(ctx),
+                                    chosen, rejected, t0))
     return out
 
 
@@ -485,18 +481,8 @@ def check_aw3_symbolic(domain: ScalarDomain) -> list[CheckResult]:
     d = domain
     reversed_bracket = ((c12 * c23).scale(d.q(-1))
                         - (c23 * c12).scale(d.q(1))).scale(inv_qdiff)
-    rejected = reversed_bracket - rhs
-    chosen = lhs - rhs
-    residual = chosen.term_count() + (0 if not rejected.is_zero() else 1)
-    out.append(CheckResult(
-        name="aw3-symbolic.bracket_calibration",
-        params=_params(domain, convention="q*xy - 1/q*yx"),
-        passed=residual == 0,
-        residual_terms=residual,
-        witness="" if residual == 0 else "rejected bracket convention also satisfied"
-        if rejected.is_zero() else _residual_entries(chosen)[0],
-        runtime_ms=int((time.perf_counter() - t0) * 1000),
-    ))
+    out.append(_bracket_calibration("aw3-symbolic.bracket_calibration", _params(domain),
+                                    lhs - rhs, reversed_bracket - rhs, t0))
     return out
 
 
@@ -573,13 +559,8 @@ def _suite_tasks(name: str, config: RunConfig, domain: ScalarDomain):
     if name in ("theorem", "all"):
         tasks.append(lambda: check_theorem_c13(ctx3()))
     if name in ("tau", "all"):
-        if name == "tau":
-            two = spins[:2]
-            three = spins + (spins[-1],)
-        else:
-            two = spins[:2]
-            three = spins[:3]
-        tasks.append(lambda: check_tau(tensor_context(two, domain),
+        three = spins + (spins[-1],) if name == "tau" else spins[:3]
+        tasks.append(lambda: check_tau(tensor_context(spins[:2], domain),
                                        tensor_context(three, domain)))
     if name in ("aw3-symbolic", "all"):
         tasks.append(lambda: check_aw3_symbolic(domain))
@@ -601,9 +582,15 @@ def _run_once(name: str, config: RunConfig, domain: ScalarDomain) -> list[CheckR
 def _merge_eval(runs: list[tuple[str, list[CheckResult]]],
                 config: RunConfig) -> list[CheckResult]:
     names = [r.name for r in runs[0][1]]
+    by_name = []
+    for point, results in runs:
+        checks = {r.name: r for r in results}
+        if len(checks) != len(results) or checks.keys() != set(names):
+            raise reps.InternalMismatchError(f"checks at {runs[0][0]} and at {point} differ")
+        by_name.append((point, checks))
     merged = []
-    for i, name in enumerate(names):
-        per_point = [(point, results[i]) for point, results in runs]
+    for name in names:
+        per_point = [(point, checks[name]) for point, checks in by_name]
         failed = [(p, r) for p, r in per_point if not r.passed]
         worst = max((r.residual_terms for _, r in per_point), default=0)
         witness = ""

@@ -14,17 +14,20 @@ Tensor contexts are built by Kronecker products in row-major index order:
 the flat index of (i_1, ..., i_n) is sum(i_k * strides[k]).  The operator
 q^(2 H@H) used by the R-matrix exists only here, as the diagonal with entry
 s^(4 m_a m_b) on the weight pair (m_a, m_b).
+
+Spin modules, tensor contexts, R-matrix cores and monomial matrices are
+memoised in their scalar domain (``scalars.domain_memo``) and live as long as it.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache, reduce
+from functools import reduce
 
 from .algebra import (ArityMismatchError, PBWMonomial, TensorElement,
                       casimir, coproduct, extend_coproduct, generator,
                       pbw_element)
-from .scalars import ScalarDomain, LaurentPoly
+from .scalars import ScalarDomain, LaurentPoly, domain_memo
 
 
 class InternalMismatchError(RuntimeError):
@@ -190,8 +193,6 @@ class SpinModule:
                                         for i in range(self.dim - 1)})
         self.k = ExactMatrix.diagonal(domain.s(t) for t in self.two_m)
         self.kinv = ExactMatrix.diagonal(domain.s(-t) for t in self.two_m)
-        self._mono_cache: dict[PBWMonomial, ExactMatrix] = {}
-        self._pow_cache: dict[tuple[str, int], ExactMatrix] = {}
         self._verify()
 
     def defining_relations(self) -> list[ExactMatrix]:
@@ -217,39 +218,30 @@ class SpinModule:
             raise InternalMismatchError(
                 f"defining relations fail on spin module two_j={self.two_j}")
 
+    @domain_memo
     def gen_power(self, name: str, n: int) -> ExactMatrix:
-        """Cached n-th power of a generator matrix ("e", "f", "k" or "kinv")."""
-        key = (name, n)
-        cached = self._pow_cache.get(key)
-        if cached is not None:
-            return cached
+        """Memoised n-th power of a generator matrix ("e", "f", "k" or "kinv")."""
         base = {"e": self.e, "f": self.f, "k": self.k, "kinv": self.kinv}[name]
         m = ExactMatrix.identity(self.dim, self.domain.one)
         for _ in range(n):
             m = m * base
-        self._pow_cache[key] = m
         return m
 
+    @domain_memo
     def monomial(self, mono: PBWMonomial) -> ExactMatrix:
         """Matrix of F^f E^e K^k on this module."""
-        cached = self._mono_cache.get(mono)
-        if cached is not None:
-            return cached
         m = self.gen_power("f", mono.f) * self.gen_power("e", mono.e)
         if mono.k >= 0:
-            m = m * self.gen_power("k", mono.k)
-        else:
-            m = m * self.gen_power("kinv", -mono.k)
-        self._mono_cache[mono] = m
-        return m
+            return m * self.gen_power("k", mono.k)
+        return m * self.gen_power("kinv", -mono.k)
 
     def __repr__(self):
         return f"SpinModule(two_j={self.two_j}, {self.domain.describe()})"
 
 
-@lru_cache(maxsize=None)
+@domain_memo
 def spin_module(two_j: int, domain: ScalarDomain) -> SpinModule:
-    """Shared immutable cache of spin modules, keyed by (two_j, domain)."""
+    """The spin module two_j over domain, built once and kept in the domain's memo."""
     return SpinModule(two_j, domain)
 
 
@@ -272,7 +264,6 @@ class TensorContext:
             self.strides.append(acc)
             acc *= d
         self.strides = tuple(reversed(self.strides))
-        self._repr_cache: dict[tuple[PBWMonomial, ...], ExactMatrix] = {}
 
     @property
     def arity(self) -> int:
@@ -284,14 +275,10 @@ class TensorContext:
     def multi_indices(self):
         return itertools.product(*(range(d) for d in self.dims))
 
+    @domain_memo
     def monomial_matrix(self, key: tuple[PBWMonomial, ...]) -> ExactMatrix:
-        cached = self._repr_cache.get(key)
-        if cached is not None:
-            return cached
-        m = reduce(ExactMatrix.kron,
-                   (mod.monomial(mono) for mod, mono in zip(self.modules, key)))
-        self._repr_cache[key] = m
-        return m
+        return reduce(ExactMatrix.kron,
+                      (mod.monomial(mono) for mod, mono in zip(self.modules, key)))
 
     def identity(self) -> ExactMatrix:
         return ExactMatrix.identity(self.total_dim, self.domain.one)
@@ -300,7 +287,7 @@ class TensorContext:
         return f"TensorContext(spins={self.spins}, {self.domain.describe()})"
 
 
-@lru_cache(maxsize=None)
+@domain_memo
 def tensor_context(spins: tuple[int, ...], domain: ScalarDomain) -> TensorContext:
     return TensorContext(tuple(spins), domain)
 
@@ -362,8 +349,8 @@ def _r_nilpotent(mod_a: SpinModule, mod_b: SpinModule) -> ExactMatrix:
     return (mod_a.e * mod_a.k).kron(mod_b.kinv * mod_b.f)
 
 
-@lru_cache(maxsize=None)
-def _r_core(mod_a: SpinModule, mod_b: SpinModule, extra_terms: int = 0) -> ExactMatrix:
+@domain_memo
+def _r_core(mod_a: SpinModule, mod_b: SpinModule, extra_terms: int) -> ExactMatrix:
     """R on V_a @ V_b: q^(2 H@H) sum_n a_n (E q^H @ q^-H F)^n.
 
     The series truncates at n = min(two_j_a, two_j_b) by nilpotency;
@@ -376,7 +363,7 @@ def _r_core(mod_a: SpinModule, mod_b: SpinModule, extra_terms: int = 0) -> Exact
         _r_nilpotent(mod_a, mod_b), d.series_coeff, bound, d.one)
 
 
-@lru_cache(maxsize=None)
+@domain_memo
 def _theta_core(mod_a: SpinModule, mod_b: SpinModule) -> ExactMatrix:
     """The reordered series Theta = sum_n a_n (F q^H @ q^-H E)^n."""
     d = mod_a.domain
@@ -392,7 +379,7 @@ def _flip(mod_a: SpinModule, mod_b: SpinModule) -> ExactMatrix:
                                  for ia in range(da) for ib in range(db)})
 
 
-@lru_cache(maxsize=None)
+@domain_memo
 def _rt_core(mod_a: SpinModule, mod_b: SpinModule) -> ExactMatrix:
     """Rtilde = R_21 on V_a @ V_b, computed two independent ways and compared."""
     via_flip, via_series = _rt_core_two_ways(mod_a, mod_b)
@@ -405,12 +392,12 @@ def _rt_core(mod_a: SpinModule, mod_b: SpinModule) -> ExactMatrix:
 def _rt_core_two_ways(mod_a: SpinModule, mod_b: SpinModule):
     flip = _flip(mod_a, mod_b)
     flip_back = _flip(mod_b, mod_a)
-    via_flip = flip * _r_core(mod_b, mod_a) * flip_back
+    via_flip = flip * _r_core(mod_b, mod_a, 0) * flip_back
     via_series = _theta_core(mod_a, mod_b) * _weight_diagonal(mod_a, mod_b)
     return via_flip, via_series
 
 
-@lru_cache(maxsize=None)
+@domain_memo
 def _r_core_inverse(mod_a: SpinModule, mod_b: SpinModule) -> ExactMatrix:
     """R^-1 in closed form: (sum_n a_n(q^-1) X^n) q^(-2 H@H), X as in R.
 
@@ -426,12 +413,12 @@ def _r_core_inverse(mod_a: SpinModule, mod_b: SpinModule) -> ExactMatrix:
 
     inv = _series(_r_nilpotent(mod_a, mod_b), coeff,
                   min(mod_a.two_j, mod_b.two_j), d.one) * _weight_diagonal(mod_a, mod_b, -1)
-    if not (_r_core(mod_a, mod_b) * inv).is_identity():
+    if not (_r_core(mod_a, mod_b, 0) * inv).is_identity():
         raise InternalMismatchError("closed-form R^-1 failed the product check")
     return inv
 
 
-@lru_cache(maxsize=None)
+@domain_memo
 def _rt_core_inverse(mod_a: SpinModule, mod_b: SpinModule) -> ExactMatrix:
     """Rtilde^-1: the flip-conjugate of the certified R^-1 on the swapped pair.
 

@@ -32,10 +32,11 @@ verification suite can run either symbolically or over plain Fractions.
 
 from __future__ import annotations
 
+import inspect
 import math
 import random
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 
 class ForbiddenPointError(ValueError):
@@ -434,9 +435,6 @@ class RatFunc:
 
     def __bool__(self) -> bool:
         return bool(self.num)
-
-    def is_polynomial(self) -> bool:
-        return self.den == _P_ONE
 
     def term_count(self) -> int:
         return self.num.term_count() + self.den.term_count()
@@ -1015,10 +1013,15 @@ class ScalarDomain:
     ``SYMBOLIC`` produces exact CycloFrac values; ``PointDomain(s0)`` produces
     plain Fractions obtained by substituting s = s0.  Values from either
     domain support +, -, *, /, ==, and are falsy exactly when zero, which is
-    all the algebra and matrix layers rely on.
+    all the algebra and matrix layers rely on.  A domain also owns the data
+    derived over it, memoised by :func:`domain_memo`: ``SYMBOLIC`` keeps it
+    for the process, a ``PointDomain`` frees it with itself.
     """
 
     mode: str
+
+    def __init__(self):
+        self._memo: dict = {}
 
     def s(self, k: int):
         raise NotImplementedError
@@ -1045,9 +1048,6 @@ class ScalarDomain:
 
     def q_int(self, n: int):
         return self.from_laurent(q_integer(n))
-
-    def q_fact(self, n: int):
-        return self.from_laurent(q_factorial(n))
 
     def series_coeff(self, n: int):
         a = r_series_coefficient(n)
@@ -1097,6 +1097,7 @@ class PointDomain(ScalarDomain):
     mode = "eval"
 
     def __init__(self, s0: Fraction):
+        super().__init__()
         self.s0 = check_admissible_point(s0)
 
     def s(self, k: int):
@@ -1128,3 +1129,28 @@ class PointDomain(ScalarDomain):
 
 
 SYMBOLIC = SymbolicDomain()
+
+
+def domain_memo(fn):
+    """Memoise fn in the memo of the scalar domain found among its arguments.
+
+    That is the parameter named ``domain`` (left out of the key) or else the
+    ``.domain`` of the first argument, a SpinModule or TensorContext.  Where to
+    look is fixed at decoration, so a hit costs one dict lookup.  Arguments
+    must be positional and hashable.
+    """
+    names = list(inspect.signature(fn).parameters)
+    i = names.index("domain") if "domain" in names else None
+
+    @wraps(fn)
+    def wrapper(*args):
+        if i is None:
+            memo, key = args[0].domain._memo, (fn, args)
+        else:
+            memo, key = args[i]._memo, (fn, args[:i] + args[i + 1:])
+        try:
+            return memo[key]
+        except KeyError:
+            value = memo[key] = fn(*args)
+            return value
+    return wrapper

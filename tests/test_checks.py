@@ -1,13 +1,19 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from qaw.checks import (ConfigurationError, RunConfig, SUITE_NAMES,
-                        UnknownSuiteError, check_aw3, check_aw3_symbolic,
-                        check_aw4, check_rmatrix_axioms, check_structure,
-                        check_tau, check_theorem_c13, negative_control_check,
-                        run_suite)
-from qaw.representations import tensor_context
+import qaw
+from qaw import representations as reps
+from qaw.checks import (CheckResult, ConfigurationError, RunConfig, SUITE_NAMES,
+                        UnknownSuiteError, _merge_eval, check_aw3,
+                        check_aw3_symbolic, check_aw4, check_rmatrix_axioms,
+                        check_structure, check_tau, check_theorem_c13,
+                        negative_control_check, run_suite)
+from qaw.representations import InternalMismatchError, spin_module, tensor_context
 from qaw.scalars import SYMBOLIC
 
 
@@ -150,6 +156,56 @@ class TestEvalMode:
         b = run_suite("aw3-symbolic", cfg)
         assert [(c.name, c.passed, c.params) for c in a.checks] == \
             [(c.name, c.passed, c.params) for c in b.checks]
+
+    def test_point_domains_are_freed_after_the_run(self):
+        # A fresh interpreter, so that no other test's PointDomain is counted.
+        code = (
+            "import gc\n"
+            "from qaw.checks import RunConfig, run_suite\n"
+            "from qaw.scalars import PointDomain\n"
+            "cfg = RunConfig(spins=(1, 1, 1), mode='eval', eval_points=2)\n"
+            "assert run_suite('all', cfg).passed\n"
+            "gc.collect()\n"
+            "print(sum(isinstance(o, PointDomain) for o in gc.get_objects()))\n")
+        src = str(Path(qaw.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}, check=True, timeout=120)
+        assert out.stdout.strip() == "0"
+
+
+def _result(name, passed):
+    return CheckResult(name=name, params={}, passed=passed,
+                       residual_terms=0 if passed else 1,
+                       witness="" if passed else f"bad {name}", runtime_ms=1)
+
+
+class TestMergeEval:
+    def test_results_are_matched_by_name_not_position(self):
+        runs = [("s=2", [_result("a", True), _result("b", True)]),
+                ("s=3", [_result("b", False), _result("a", True)])]
+        merged = {r.name: r for r in _merge_eval(runs, RunConfig(mode="eval"))}
+        assert merged["a"].passed and merged["a"].params["failed_points"] == 0
+        assert not merged["b"].passed and merged["b"].params["failed_points"] == 1
+        assert merged["b"].witness == "at s=3: bad b"
+
+    @pytest.mark.parametrize("second", [["a"], ["a", "c"], ["a", "b", "c"], ["a", "a"]])
+    def test_differing_check_sets_are_an_internal_error(self, second):
+        runs = [("s=2", [_result("a", True), _result("b", True)]),
+                ("s=3", [_result(n, True) for n in second])]
+        with pytest.raises(InternalMismatchError):
+            _merge_eval(runs, RunConfig(mode="eval"))
+
+
+def test_exact_mode_reuses_symbolic_tables():
+    def tables():
+        ctx = tensor_context((1, 2, 1), SYMBOLIC)
+        core = reps._r_core(ctx.modules[0], ctx.modules[1], 0)
+        return spin_module(2, SYMBOLIC), ctx, core
+    first = tables()
+    assert all(a is b for a, b in zip(first, tables()))
+    for _ in range(2):
+        assert run_suite("all", RunConfig(spins=(1, 2, 1))).passed
+        assert all(a is b for a, b in zip(first, tables()))
 
 
 def test_suite_names_frozen():
