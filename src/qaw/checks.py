@@ -12,6 +12,30 @@ seeded random admissible sample points; a nonzero rational function is
 nonzero at almost every point, so eval mode reproduces exact verdicts.  It
 rebuilds the whole pipeline at every point, so it costs more than one exact
 run.
+
+Checks whose residual is a polynomial in centralizer elements run on the
+lowest weight space W_low only: the weight space whose total 2m is
+(sum of two_j) mod 2.  V = V_j1 @ V_j2 @ V_j3 decomposes as the sum over J
+of V_J @ M_J, an element X of the centralizer of the diagonal action acts
+as the sum of 1 @ X_J, and W_low meets every V_J, so X is zero exactly when
+its block on W_low is zero.  Every operand preserves weight, so the block
+is a slice (``block_slice``, which raises InternalMismatchError otherwise).
+The restricted checks and their premises, each a full-space centralizer
+residual [Delta^(2)(g), X] for g = E, F, K built once per run by RunStore:
+
+  aw3.relation[C12,C23], [C13_0,C12], [C23,C13_0], aw3.bracket_calibration:
+      C1, C2, C3, C12, C23, C13_0, C123
+  aw3.relation[C23,C12], [C12,C13_1], [C13_1,C23]:
+      C1, C2, C3, C12, C23, C13_1, C123
+  theorem.central_elements_commute:
+      C1, C2, C3, C12, C23, C13_0, C13_1, C123
+
+The premises of C12, C23, C13_0, C13_1 and C123 are reported as
+``theorem.centralizer[...]``.  If a premise fails, the restricted check
+fails without running: its witness is ``premise theorem.centralizer[X]
+failed`` for the first failed premise X, and residual_terms counts the
+failed premises.  Otherwise residual_terms and the witness of a failing
+restricted check count and name W_low entries (full-space indices).
 """
 
 from __future__ import annotations
@@ -19,6 +43,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import algebra as alg
 from . import representations as reps
@@ -268,14 +293,113 @@ def check_rmatrix_axioms(ctx: TensorContext) -> list[CheckResult]:
 
 
 # ---------------------------------------------------------------------------
+# the lowest weight space and the run-scoped store
+# ---------------------------------------------------------------------------
+
+# The operands of the restricted checks, each certified by its centralizer
+# residual before any check uses its block on W_low.
+CENTRALIZER_OPERANDS = ("C1", "C2", "C3", "C12", "C23", "C13_0", "C13_1", "C123")
+
+
+def lowest_weight_indices(ctx: TensorContext) -> frozenset[int]:
+    """Flat indices of W_low, the weight space whose total 2m is (sum of two_j) mod 2.
+
+    Index i_k on leg k carries 2m = two_j_k - 2 i_k, so the total 2m is
+    sum(two_j) - 2 sum(i_k), and W_low is where sum(i_k) = sum(two_j) // 2.
+    """
+    target = sum(ctx.spins) // 2
+    return frozenset(ctx.flat_index(multi) for multi in ctx.multi_indices()
+                     if sum(multi) == target)
+
+
+def block_slice(m: ExactMatrix, block: frozenset[int]) -> ExactMatrix:
+    """The block of m on the basis vectors in block, every other entry dropped.
+
+    Indices keep their full-space values, so a product of slices is the
+    slice of the product and a witness names a full-space entry.  Raises
+    InternalMismatchError if an entry of m couples block to its complement.
+    """
+    out = {}
+    for (r, c), v in m.items():
+        inside = r in block
+        if inside != (c in block):
+            raise reps.InternalMismatchError(
+                f"entry ({r}, {c}) couples the block to its complement")
+        if inside:
+            out[(r, c)] = v
+    return ExactMatrix(m.dim, out)
+
+
+class RunStore:
+    """Setup that the theorem and aw3 checks of one run share on a 3-leg context.
+
+    One store is built per run (per point in eval mode) and dropped with it,
+    so the memo of ``SYMBOLIC`` never holds it.  It builds the intermediate
+    Casimirs once, and for each operand X once, on first use, its
+    full-space centralizer residuals [Delta^(2)(g), X] for g = E, F, K and
+    its block on W_low.
+    """
+
+    def __init__(self, ctx: TensorContext):
+        self.ctx = ctx
+        self.lowest_weight = lowest_weight_indices(ctx)
+        self._residuals: dict[str, list[ExactMatrix]] = {}
+        self._low: dict[str, ExactMatrix] = {}
+
+    @cached_property
+    def casimirs(self) -> dict[str, ExactMatrix]:
+        return reps.intermediate_casimirs(self.ctx)
+
+    @cached_property
+    def _diagonal_action(self) -> list[ExactMatrix]:
+        domain = self.ctx.domain
+        return [reps.represent(alg.extend_coproduct(alg.generator(domain, g), (1, 2, 3), 3),
+                               self.ctx) for g in ("E", "F", "K")]
+
+    def centralizer_residuals(self, name: str) -> list[ExactMatrix]:
+        if name not in self._residuals:
+            mat = self.casimirs[name]
+            self._residuals[name] = [dx * mat - mat * dx for dx in self._diagonal_action]
+        return self._residuals[name]
+
+    def low(self, name: str) -> ExactMatrix:
+        """The operand's block on W_low; read only after its premise passed."""
+        if name not in self._low:
+            self._low[name] = block_slice(self.casimirs[name], self.lowest_weight)
+        return self._low[name]
+
+
+def _premise_failure(store: RunStore, operands, name: str, params: dict,
+                     started: float) -> CheckResult | None:
+    """A failed result naming the first uncertified operand, or None if all are certified.
+
+    A residual on W_low proves nothing about an operand outside the
+    centralizer, so a restricted check never passes on one.
+    """
+    failed = [f"theorem.centralizer[{op}]" for op in CENTRALIZER_OPERANDS
+              if op in operands and not all(d.is_zero() for d in store.centralizer_residuals(op))]
+    if not failed:
+        return None
+    return CheckResult(
+        name=name,
+        params=params,
+        passed=False,
+        residual_terms=len(failed),
+        witness=f"premise {failed[0]} failed",
+        runtime_ms=int((time.perf_counter() - started) * 1000),
+    )
+
+
+# ---------------------------------------------------------------------------
 # theorem checks: the two centralizing elements and their conjugation
 # ---------------------------------------------------------------------------
 
-def check_theorem_c13(ctx: TensorContext) -> list[CheckResult]:
+def check_theorem_c13(ctx: TensorContext, store: RunStore | None = None) -> list[CheckResult]:
     if ctx.arity != 3:
         raise alg.ArityMismatchError("theorem checks need exactly three legs")
+    store = RunStore(ctx) if store is None else store
     domain = ctx.domain
-    ic = reps.intermediate_casimirs(ctx)
+    ic = store.casimirs
     out = []
 
     t0 = time.perf_counter()
@@ -285,35 +409,35 @@ def check_theorem_c13(ctx: TensorContext) -> list[CheckResult]:
     out.append(_make_result("theorem.c13_1_two_routes", _params(ctx),
                             [ic["C13_1"] - ic["C13_1_via_r23"]], t0))
 
-    diag = {g: reps.represent(
-        alg.extend_coproduct(alg.generator(domain, g), (1, 2, 3), 3), ctx)
-        for g in ("E", "F", "K")}
     for name in ("C12", "C23", "C13_0", "C13_1", "C123"):
         t0 = time.perf_counter()
-        mat = ic[name]
-        diffs = [dx * mat - mat * dx for dx in diag.values()]
-        out.append(_make_result(f"theorem.centralizer[{name}]", _params(ctx), diffs, t0))
+        out.append(_make_result(f"theorem.centralizer[{name}]", _params(ctx),
+                                store.centralizer_residuals(name), t0))
 
     # Partial check that the one-leg Casimirs and the total Casimir are
     # central in the centralizer: they commute with every constructed
     # centralizing element (the full centralizer is not enumerable).
     t0 = time.perf_counter()
-    diffs = []
-    for central in ("C1", "C2", "C3", "C123"):
-        for name in ("C12", "C23", "C13_0", "C13_1"):
-            a, b = ic[central], ic[name]
-            diffs.append(a * b - b * a)
-    out.append(_make_result("theorem.central_elements_commute", _params(ctx), diffs, t0))
+    failure = _premise_failure(store, CENTRALIZER_OPERANDS,
+                               "theorem.central_elements_commute", _params(ctx), t0)
+    out.append(failure or _make_result(
+        "theorem.central_elements_commute", _params(ctx),
+        [store.low(a) * store.low(b) - store.low(b) * store.low(a)
+         for a in ("C1", "C2", "C3", "C123") for b in ("C12", "C23", "C13_0", "C13_1")], t0))
 
-    # C13_1 = (R23 Rt23) C13_0 (R23 Rt23)^-1 = (R12 Rt12)^-1 C13_0 (R12 Rt12).
-    for legs, inverse_left in (((2, 3), False), ((1, 2), True)):
-        r, rt = reps.r_matrix(legs, ctx), reps.r_tilde(legs, ctx)
-        ri, rti = reps.r_matrix_inverse(legs, ctx), reps.r_tilde_inverse(legs, ctx)
+    # C13_1 = X C13_0 X^-1 with X = R23 Rt23, and C13_1 = X^-1 C13_0 X with
+    # X = R12 Rt12.  X is invertible (the closed-form R^-1 passed its product
+    # check and Rt its two-way check when the store built the Casimirs), so
+    # the checks compare C13_1 X with X C13_0 and X C13_1 with C13_0 X.
+    c13_0, c13_1 = ic["C13_0"], ic["C13_1"]
+    for legs, mirrored in (((2, 3), False), ((1, 2), True)):
         t0 = time.perf_counter()
-        conj, conj_inv = r * rt, rti * ri
-        left, right = (conj_inv, conj) if inverse_left else (conj, conj_inv)
+        pair = tensor_context(tuple(ctx.spins[i - 1] for i in legs), domain)
+        x = reps.embed_two_leg(reps.r_matrix((1, 2), pair) * reps.r_tilde((1, 2), pair),
+                               legs, ctx)
+        diff = x * c13_1 - c13_0 * x if mirrored else c13_1 * x - x * c13_0
         out.append(_make_result(f"theorem.conjugation_r{legs[0]}{legs[1]}", _params(ctx),
-                                [ic["C13_1"] - left * ic["C13_0"] * right], t0))
+                                [diff], t0))
 
     t0 = time.perf_counter()
     sym = reps.represent(alg.c13_zero_symbolic(domain), ctx)
@@ -398,14 +522,6 @@ def check_tau(ctx2: TensorContext, ctx3: TensorContext) -> list[CheckResult]:
 # the Askey-Wilson relations
 # ---------------------------------------------------------------------------
 
-def _q_comm_matrices(domain, x: ExactMatrix, y: ExactMatrix,
-                     reverse: bool = False) -> ExactMatrix:
-    qp, qm = domain.q(1), domain.q(-1)
-    if reverse:
-        qp, qm = qm, qp
-    return (x * y).scale(qp) - (y * x).scale(qm)
-
-
 def _bracket_calibration(name: str, params: dict, chosen, rejected,
                          started: float) -> CheckResult:
     """The relation's difference must vanish for the chosen bracket, not the reversed one."""
@@ -422,41 +538,51 @@ def _bracket_calibration(name: str, params: dict, chosen, rejected,
     )
 
 
-def check_aw3(ctx: TensorContext) -> list[CheckResult]:
+# (x, y, z, a, b, c, d): [x, y]_q / (q - 1/q) = z + a b + c d.
+_AW3_RELATIONS = (
+    ("C12", "C23", "C13_0", "C1", "C3", "C2", "C123"),
+    ("C13_0", "C12", "C23", "C2", "C3", "C1", "C123"),
+    ("C23", "C13_0", "C12", "C1", "C2", "C3", "C123"),
+    ("C23", "C12", "C13_1", "C1", "C3", "C2", "C123"),
+    ("C12", "C13_1", "C23", "C2", "C3", "C1", "C123"),
+    ("C13_1", "C23", "C12", "C1", "C2", "C3", "C123"),
+)
+
+
+def check_aw3(ctx: TensorContext, store: RunStore | None = None) -> list[CheckResult]:
     if ctx.arity != 3:
         raise alg.ArityMismatchError("AW(3) checks need exactly three legs")
+    store = RunStore(ctx) if store is None else store
     domain = ctx.domain
-    ic = reps.intermediate_casimirs(ctx)
-    inv_qdiff = domain.one / (domain.q(1) - domain.q(-1))
-    c12, c23 = ic["C12"], ic["C23"]
-    c13_0, c13_1 = ic["C13_0"], ic["C13_1"]
-    c1c3 = ic["C1"] * ic["C3"]
-    c1c2 = ic["C1"] * ic["C2"]
-    c2c3 = ic["C2"] * ic["C3"]
-    c2c123 = ic["C2"] * ic["C123"]
-    c1c123 = ic["C1"] * ic["C123"]
-    c3c123 = ic["C3"] * ic["C123"]
-    out = []
+    qp, qm = domain.q(1), domain.q(-1)
+    inv_qdiff = domain.one / (qp - qm)
+    products: dict[tuple[str, str], ExactMatrix] = {}
 
-    relations = [
-        ("aw3.relation[C12,C23]", c12, c23, c13_0 + c1c3 + c2c123),
-        ("aw3.relation[C13_0,C12]", c13_0, c12, c23 + c2c3 + c1c123),
-        ("aw3.relation[C23,C13_0]", c23, c13_0, c12 + c1c2 + c3c123),
-        ("aw3.relation[C23,C12]", c23, c12, c13_1 + c1c3 + c2c123),
-        ("aw3.relation[C12,C13_1]", c12, c13_1, c23 + c2c3 + c1c123),
-        ("aw3.relation[C13_1,C23]", c13_1, c23, c12 + c1c2 + c3c123),
-    ]
-    for name, x, y, rhs in relations:
+    def prod(a, b):
+        if (a, b) not in products:
+            products[(a, b)] = store.low(a) * store.low(b)
+        return products[(a, b)]
+
+    def difference(relation, reverse=False):
+        x, y, z, a, b, c, d = relation
+        kx, ky = (qm, qp) if reverse else (qp, qm)
+        lhs = (prod(x, y).scale(kx) - prod(y, x).scale(ky)).scale(inv_qdiff)
+        return lhs - (store.low(z) + prod(a, b) + prod(c, d))
+
+    out = []
+    for relation in _AW3_RELATIONS:
+        name = f"aw3.relation[{relation[0]},{relation[1]}]"
         t0 = time.perf_counter()
-        lhs = _q_comm_matrices(domain, x, y).scale(inv_qdiff)
-        out.append(_make_result(name, _params(ctx), [lhs - rhs], t0))
+        failure = _premise_failure(store, relation, name, _params(ctx), t0)
+        out.append(failure or _make_result(name, _params(ctx), [difference(relation)], t0))
 
     t0 = time.perf_counter()
-    rhs = c13_0 + c1c3 + c2c123
-    chosen = _q_comm_matrices(domain, c12, c23).scale(inv_qdiff) - rhs
-    rejected = _q_comm_matrices(domain, c12, c23, reverse=True).scale(inv_qdiff) - rhs
-    out.append(_bracket_calibration("aw3.bracket_calibration", _params(ctx),
-                                    chosen, rejected, t0))
+    relation = _AW3_RELATIONS[0]
+    failure = _premise_failure(store, relation, "aw3.bracket_calibration",
+                               dict(_params(ctx), convention="q*xy - 1/q*yx"), t0)
+    out.append(failure or _bracket_calibration(
+        "aw3.bracket_calibration", _params(ctx), difference(relation),
+        difference(relation, reverse=True), t0))
     return out
 
 
@@ -551,13 +677,14 @@ def _suite_tasks(name: str, config: RunConfig, domain: ScalarDomain):
     tasks = []
     def ctx3():
         return tensor_context(spins[:3], domain)
+    store = RunStore(ctx3()) if name in ("theorem", "aw3", "all") else None
 
     if name in ("structure", "all"):
         tasks.append(lambda: check_structure(ctx3(), config.rng_seed))
     if name in ("rmatrix", "all"):
         tasks.append(lambda: check_rmatrix_axioms(ctx3()))
     if name in ("theorem", "all"):
-        tasks.append(lambda: check_theorem_c13(ctx3()))
+        tasks.append(lambda: check_theorem_c13(store.ctx, store))
     if name in ("tau", "all"):
         three = spins + (spins[-1],) if name == "tau" else spins[:3]
         tasks.append(lambda: check_tau(tensor_context(spins[:2], domain),
@@ -565,7 +692,7 @@ def _suite_tasks(name: str, config: RunConfig, domain: ScalarDomain):
     if name in ("aw3-symbolic", "all"):
         tasks.append(lambda: check_aw3_symbolic(domain))
     if name in ("aw3", "all"):
-        tasks.append(lambda: check_aw3(ctx3()))
+        tasks.append(lambda: check_aw3(store.ctx, store))
     if name == "aw4" or (name == "all" and len(spins) == 4):
         tasks.append(lambda: check_aw4(tensor_context(spins[:4], domain)))
     if config.negative_control:
@@ -655,10 +782,13 @@ def run_suite(name: str, config: RunConfig) -> SuiteReport:
             if s0 in used:
                 continue
             used.add(s0)
+            domain = PointDomain(s0)
             try:
-                runs.append((f"s={s0}", _run_once(name, config, PointDomain(s0))))
+                runs.append((f"s={s0}", _run_once(name, config, domain)))
             except PoleError:
                 continue
+            finally:
+                domain.clear_memo()
         results = _merge_eval(runs, config)
     results.extend(_consistency_extras(results))
     results.sort(key=lambda r: r.name)

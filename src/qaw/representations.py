@@ -109,7 +109,16 @@ class ExactMatrix:
     def __sub__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        return self + (-other)
+        self._check_dim(other)
+        out = dict(self._entries)
+        for rc, v in other._entries.items():
+            w = out.get(rc)
+            w = -v if w is None else w - v
+            if w:
+                out[rc] = w
+            elif rc in out:
+                del out[rc]
+        return ExactMatrix(self.dim, out)
 
     def scale(self, c) -> ExactMatrix:
         if not c:

@@ -1015,13 +1015,22 @@ class ScalarDomain:
     domain support +, -, *, /, ==, and are falsy exactly when zero, which is
     all the algebra and matrix layers rely on.  A domain also owns the data
     derived over it, memoised by :func:`domain_memo`: ``SYMBOLIC`` keeps it
-    for the process, a ``PointDomain`` frees it with itself.
+    for the process, and eval mode clears a ``PointDomain``'s memo when its
+    point is done.
     """
 
     mode: str
 
     def __init__(self):
         self._memo: dict = {}
+
+    def clear_memo(self):
+        """Drop the memoised tables now.
+
+        They point back to the domain, so after its last use they would
+        otherwise wait for the cyclic garbage collector.
+        """
+        self._memo.clear()
 
     def s(self, k: int):
         raise NotImplementedError

@@ -8,12 +8,14 @@ import pytest
 
 import qaw
 from qaw import representations as reps
+from qaw import algebra as alg
 from qaw.checks import (CheckResult, ConfigurationError, RunConfig, SUITE_NAMES,
-                        UnknownSuiteError, _merge_eval, check_aw3,
+                        UnknownSuiteError, _merge_eval, block_slice, check_aw3,
                         check_aw3_symbolic, check_aw4, check_rmatrix_axioms,
                         check_structure, check_tau, check_theorem_c13,
-                        negative_control_check, run_suite)
-from qaw.representations import InternalMismatchError, spin_module, tensor_context
+                        lowest_weight_indices, negative_control_check, run_suite)
+from qaw.representations import (ExactMatrix, InternalMismatchError, spin_module,
+                                 tensor_context)
 from qaw.scalars import SYMBOLIC
 
 
@@ -157,20 +159,29 @@ class TestEvalMode:
         assert [(c.name, c.passed, c.params) for c in a.checks] == \
             [(c.name, c.passed, c.params) for c in b.checks]
 
-    def test_point_domains_are_freed_after_the_run(self):
-        # A fresh interpreter, so that no other test's PointDomain is counted.
+    @staticmethod
+    def _alive_after_eval_run(before: str, after: str) -> str:
+        # A fresh interpreter, so that no other test's objects are counted.
         code = (
             "import gc\n"
             "from qaw.checks import RunConfig, run_suite\n"
+            "from qaw.representations import SpinModule\n"
             "from qaw.scalars import PointDomain\n"
+            f"{before}\n"
             "cfg = RunConfig(spins=(1, 1, 1), mode='eval', eval_points=2)\n"
             "assert run_suite('all', cfg).passed\n"
-            "gc.collect()\n"
-            "print(sum(isinstance(o, PointDomain) for o in gc.get_objects()))\n")
+            f"{after}\n"
+            "print(sum(isinstance(o, (PointDomain, SpinModule)) for o in gc.get_objects()))\n")
         src = str(Path(qaw.__file__).resolve().parents[1])
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env={**os.environ, "PYTHONPATH": src}, check=True, timeout=120)
-        assert out.stdout.strip() == "0"
+        return out.stdout.strip()
+
+    def test_point_domains_are_freed_after_the_run(self):
+        assert self._alive_after_eval_run("", "gc.collect()") == "0"
+
+    def test_point_tables_are_freed_without_the_cyclic_collector(self):
+        assert self._alive_after_eval_run("gc.disable()", "") == "0"
 
 
 def _result(name, passed):
@@ -194,6 +205,141 @@ class TestMergeEval:
                 ("s=3", [_result(n, True) for n in second])]
         with pytest.raises(InternalMismatchError):
             _merge_eval(runs, RunConfig(mode="eval"))
+
+
+class TestLowestWeightSpace:
+    @pytest.mark.parametrize("spins, low, total", [((1, 1, 1), 3, 8), ((2, 1, 2), 5, 18),
+                                                    ((4, 4, 4), 19, 125)])
+    def test_dimensions(self, spins, low, total):
+        ctx = tensor_context(spins, SYMBOLIC)
+        assert (len(lowest_weight_indices(ctx)), ctx.total_dim) == (low, total)
+
+    def test_slice_keeps_the_block_of_a_weight_preserving_matrix(self):
+        ctx = tensor_context((2, 1, 2), SYMBOLIC)
+        block = lowest_weight_indices(ctx)
+        c13_0 = reps.intermediate_casimirs(ctx)["C13_0"]
+        sliced = block_slice(c13_0, block)
+        assert sliced.nnz() > 0
+        assert dict(sliced.items()) == {(r, c): v for (r, c), v in c13_0.items()
+                                        if r in block and c in block}
+
+    def test_slice_rejects_a_weight_changing_entry(self):
+        ctx = tensor_context((1, 1, 1), SYMBOLIC)
+        block = lowest_weight_indices(ctx)
+        inside, outside = min(block), min(set(range(ctx.total_dim)) - block)
+        for rc in ((inside, outside), (outside, inside)):
+            with pytest.raises(InternalMismatchError):
+                block_slice(ExactMatrix(ctx.total_dim, {rc: SYMBOLIC.one}), block)
+        delta_e = reps.represent(alg.extend_coproduct(alg.generator(SYMBOLIC, "E"),
+                                                      (1, 2, 3), 3), ctx)
+        with pytest.raises(InternalMismatchError):
+            block_slice(delta_e, block)
+
+
+def _perturb(monkeypatch, name, delta):
+    """Make intermediate_casimirs return name + delta(casimirs, ctx) in place of name."""
+    real = reps.intermediate_casimirs
+
+    def perturbed(ctx):
+        ic = dict(real(ctx))
+        ic[name] = ic[name] + delta(ic, ctx)
+        return ic
+    monkeypatch.setattr(reps, "intermediate_casimirs", perturbed)
+
+
+def _full_space_residuals(ic, domain):
+    """The must-be-zero differences of the restricted checks, on the full space."""
+    qp, qm = domain.q(1), domain.q(-1)
+    inv_qdiff = domain.one / (qp - qm)
+
+    def bracket(x, y, kx=qp, ky=qm):
+        return ((ic[x] * ic[y]).scale(kx) - (ic[y] * ic[x]).scale(ky)).scale(inv_qdiff)
+
+    def rhs(z, a, b, c, d):
+        return ic[z] + ic[a] * ic[b] + ic[c] * ic[d]
+    rel_c12_c23 = rhs("C13_0", "C1", "C3", "C2", "C123")
+    return {
+        "aw3.relation[C12,C23]": [bracket("C12", "C23") - rel_c12_c23],
+        "aw3.relation[C13_0,C12]": [bracket("C13_0", "C12") - rhs("C23", "C2", "C3", "C1", "C123")],
+        "aw3.relation[C23,C13_0]": [bracket("C23", "C13_0") - rhs("C12", "C1", "C2", "C3", "C123")],
+        "aw3.relation[C23,C12]": [bracket("C23", "C12") - rhs("C13_1", "C1", "C3", "C2", "C123")],
+        "aw3.relation[C12,C13_1]": [bracket("C12", "C13_1") - rhs("C23", "C2", "C3", "C1", "C123")],
+        "aw3.relation[C13_1,C23]": [bracket("C13_1", "C23") - rhs("C12", "C1", "C2", "C3", "C123")],
+        "aw3.bracket_calibration": [bracket("C12", "C23") - rel_c12_c23,
+                                    bracket("C12", "C23", qm, qp) - rel_c12_c23],
+        "theorem.central_elements_commute": [
+            ic[a] * ic[b] - ic[b] * ic[a]
+            for a in ("C1", "C2", "C3", "C123") for b in ("C12", "C23", "C13_0", "C13_1")],
+    }
+
+
+def _restricted_results(ctx):
+    return {r.name: r for r in check_aw3(ctx) + check_theorem_c13(ctx)}
+
+
+C13_0_CHECKS = ("aw3.relation[C12,C23]", "aw3.relation[C13_0,C12]",
+                "aw3.relation[C23,C13_0]", "aw3.bracket_calibration")
+
+
+class TestRestrictedChecks:
+    def test_uncertified_operand_fails_on_its_premise(self, monkeypatch):
+        # e_(0,0) sits on the highest weight, off W_low, and does not commute
+        # with Delta(E): the W_low residuals alone would all vanish.
+        _perturb(monkeypatch, "C13_0",
+                 lambda ic, ctx: ExactMatrix(ctx.total_dim, {(0, 0): ctx.domain.one}))
+        results = _restricted_results(tensor_context((1, 1, 1), SYMBOLIC))
+        for name in C13_0_CHECKS + ("theorem.central_elements_commute",
+                                    "theorem.centralizer[C13_0]"):
+            assert not results[name].passed, name
+        for name in C13_0_CHECKS + ("theorem.central_elements_commute",):
+            assert results[name].witness == "premise theorem.centralizer[C13_0] failed"
+            assert results[name].residual_terms == 1
+        for name in ("aw3.relation[C23,C12]", "aw3.relation[C12,C13_1]",
+                     "aw3.relation[C13_1,C23]", "theorem.centralizer[C13_1]"):
+            assert results[name].passed, name
+
+    def test_certified_wrong_operand_fails_with_lowest_weight_counts(self, monkeypatch):
+        _perturb(monkeypatch, "C13_0", lambda ic, ctx: ic["C123"])
+        ctx = tensor_context((1, 1, 1), SYMBOLIC)
+        block = lowest_weight_indices(ctx)
+        results = _restricted_results(ctx)
+        full = _full_space_residuals(reps.intermediate_casimirs(ctx), ctx.domain)
+        assert results["theorem.centralizer[C13_0]"].passed
+        for name in C13_0_CHECKS:
+            diff = full[name][0]
+            low_entries = sum(1 for (r, c), _ in diff.items() if r in block and c in block)
+            assert 0 < low_entries < diff.nnz()
+            assert not results[name].passed
+            assert results[name].residual_terms == low_entries
+            assert not results[name].witness.startswith("premise")
+            r, c = map(int, results[name].witness.split(" ", 2)[:2])
+            assert r in block and c in block
+
+    @pytest.mark.parametrize("spins", [(1, 1, 1), (2, 1, 2), (1, 2, 1)])
+    @pytest.mark.parametrize("perturbed", [False, True])
+    def test_restricted_verdicts_match_the_full_space(self, monkeypatch, spins, perturbed):
+        if perturbed:
+            _perturb(monkeypatch, "C13_0", lambda ic, ctx: ic["C123"])
+        ctx = tensor_context(spins, SYMBOLIC)
+        results = _restricted_results(ctx)
+        full = _full_space_residuals(reps.intermediate_casimirs(ctx), ctx.domain)
+        for name, diffs in full.items():
+            if name == "aw3.bracket_calibration":
+                chosen, rejected = diffs
+                assert not rejected.is_zero()
+                expected = chosen.is_zero()
+            else:
+                expected = all(d.is_zero() for d in diffs)
+            assert results[name].passed == expected, name
+        assert any(not r.passed for r in results.values()) == perturbed
+
+    def test_one_casimir_build_per_run(self, monkeypatch):
+        calls = []
+        real = reps.intermediate_casimirs
+        monkeypatch.setattr(reps, "intermediate_casimirs",
+                            lambda ctx: calls.append(ctx.spins) or real(ctx))
+        assert run_suite("all", RunConfig(spins=(1, 2, 1))).passed
+        assert calls == [(1, 2, 1)]
 
 
 def test_exact_mode_reuses_symbolic_tables():

@@ -22,6 +22,25 @@ GOLDEN = Path(__file__).parent / "golden"
 D = SYMBOLIC
 
 
+class TestExactMatrix:
+    @pytest.mark.parametrize("domain", [D, PointDomain(Fraction(3, 5))])
+    def test_difference_drops_cancelling_entries(self, domain):
+        x, y, z = domain.q(1), domain.s(3), domain.q_int(2)
+        a = ExactMatrix(2, {(0, 0): x, (0, 1): y})
+        b = ExactMatrix(2, {(0, 0): x, (1, 1): z})
+        diff = a - b
+        assert dict(diff.items()) == {(0, 1): y, (1, 1): -z}
+        assert diff.entry(0, 0) is None
+        assert (diff + b) == a
+        assert (a - ExactMatrix(2, {(0, 1): y, (0, 0): x})).is_zero()
+
+    @pytest.mark.parametrize("domain", [D, PointDomain(Fraction(3, 5))])
+    def test_self_difference_is_zero(self, domain):
+        a = spin_module(2, domain).e + spin_module(2, domain).k
+        assert (a - a).is_zero()
+        assert (a - a).nnz() == 0
+
+
 class TestSpinModule:
     def test_trivial(self):
         mod = spin_module(0, D)
