@@ -7,7 +7,8 @@ representations with exact rational-function matrix entries.
 """
 
 from .scalars import (LaurentPoly, RatFunc, CycloFrac, ScalarDomain,
-                      SymbolicDomain, PointDomain, SYMBOLIC, q_integer,
+                      SymbolicDomain, PointDomain, ResidueDomain,
+                      RESIDUE_PRIME, SYMBOLIC, q_integer,
                       q_factorial, r_series_coefficient, cyclotomic,
                       evaluate_scalar, random_admissible_point,
                       ForbiddenPointError, PoleError, NonCyclotomicError)

@@ -7,11 +7,18 @@ arithmetic has no meaningful norm, so a check passes if and only if the
 residual count is zero.
 
 Suites run either in exact mode (over the symbolic field Q(s)) or in eval
-mode, where the whole computation is repeated over plain rationals at
-seeded random admissible sample points; a nonzero rational function is
-nonzero at almost every point, so eval mode reproduces exact verdicts.  It
-rebuilds the whole pipeline at every point, so it costs more than one exact
-run.
+mode, where the whole computation is repeated at seeded random admissible
+sample points s0 = p/r; a nonzero rational function is nonzero at almost
+every point, so eval mode reproduces exact verdicts.  Each point is computed
+in residues mod the prime P = 2**61 - 1 (``ResidueDomain``).  A residual F/G
+whose numerator F is not 0 mod P reads 0 mod P at no more than deg F of the
+5704 distinct sample points, which have distinct residues: the deg F / |S|
+bound of sampling over Q.  A residue that is nonzero mod P proves the
+rational value nonzero, so a failure is never a false alarm.  A check group
+that fails at a point is run again there over Q (``PointDomain``), which
+supplies the exact witness and residual_terms; a denominator that is 0
+mod P runs the whole point over Q.  Eval mode rebuilds the whole pipeline
+at every point.
 
 Checks whose residual is a polynomial in centralizer elements run on the
 lowest weight space W_low only: the weight space whose total 2m is
@@ -43,14 +50,14 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 from . import algebra as alg
 from . import representations as reps
 from .algebra import TensorElement
 from .representations import ExactMatrix, TensorContext, tensor_context
-from .scalars import (SYMBOLIC, PointDomain, PoleError, ScalarDomain,
-                      random_admissible_point)
+from .scalars import (SYMBOLIC, PointDomain, PoleError, ResidueDomain,
+                      ScalarDomain, random_admissible_point)
 
 TOOL_VERSION = "0.1.0"
 
@@ -91,12 +98,15 @@ class RunConfig:
 
 @dataclass
 class CheckResult:
+    """One check's verdict.  runtime_ms is unrounded while a run is in
+    progress; run_suite rounds it to an int once, when it builds the report."""
+
     name: str
     params: dict
     passed: bool
     residual_terms: int
     witness: str
-    runtime_ms: int
+    runtime_ms: float
 
     def as_dict(self) -> dict:
         return {
@@ -142,7 +152,12 @@ def _residual_entries(diff) -> list[str]:
     raise TypeError(f"cannot extract a residual from {diff!r}")
 
 
-def _make_result(name: str, params: dict, diffs, started: float) -> CheckResult:
+def _elapsed_ms(started: int) -> float:
+    """Milliseconds since the perf_counter_ns reading started, unrounded."""
+    return (time.perf_counter_ns() - started) / 1e6
+
+
+def _make_result(name: str, params: dict, diffs, started: int) -> CheckResult:
     """Build a CheckResult from one or more must-be-zero differences."""
     if not isinstance(diffs, (list, tuple)):
         diffs = [diffs]
@@ -156,7 +171,7 @@ def _make_result(name: str, params: dict, diffs, started: float) -> CheckResult:
         passed=not entries,
         residual_terms=len(entries),
         witness=witness,
-        runtime_ms=int((time.perf_counter() - started) * 1000),
+        runtime_ms=_elapsed_ms(started),
     )
 
 
@@ -180,25 +195,25 @@ def check_structure(ctx: TensorContext, rng_seed: int = 0) -> list[CheckResult]:
     out = []
 
     for two_j in sorted(set(ctx.spins)):
-        t0 = time.perf_counter()
+        t0 = time.perf_counter_ns()
         diffs = reps.spin_module(two_j, domain).defining_relations()
         out.append(_make_result(f"structure.defining_relations[two_j={two_j}]",
                                 _params(ctx), diffs, t0))
 
-    t0 = time.perf_counter()
+    t0 = time.perf_counter_ns()
     c = alg.casimir(domain)
     diffs = [c * alg.generator(domain, g) - alg.generator(domain, g) * c
              for g in ("E", "F", "K")]
     out.append(_make_result("structure.casimir_centrality", _params(ctx), diffs, t0))
 
-    t0 = time.perf_counter()
+    t0 = time.perf_counter_ns()
     elems = [alg.generator(domain, "E"), alg.generator(domain, "F"),
              alg.generator(domain, "K"), c]
     diffs = [alg.coproduct_on_leg(alg.coproduct(x), 1)
              - alg.coproduct_on_leg(alg.coproduct(x), 2) for x in elems]
     out.append(_make_result("structure.coassociativity", _params(ctx), diffs, t0))
 
-    t0 = time.perf_counter()
+    t0 = time.perf_counter_ns()
     rng = random.Random(rng_seed)
     diffs = []
     for _ in range(3):
@@ -212,7 +227,7 @@ def check_structure(ctx: TensorContext, rng_seed: int = 0) -> list[CheckResult]:
                             _params(ctx, trials=3, seed=rng_seed), diffs, t0))
 
     for two_j in sorted(set(ctx.spins)):
-        t0 = time.perf_counter()
+        t0 = time.perf_counter_ns()
         leg = tensor_context((two_j,), domain)
         mat = reps.represent(c, leg)
         oracle = reps.casimir_scalar_highest_weight(two_j, domain)
@@ -243,29 +258,29 @@ def check_rmatrix_axioms(ctx: TensorContext) -> list[CheckResult]:
         rr = reps.r_matrix((1, 2), pair)
         rt = reps.r_tilde((1, 2), pair)
 
-        t0 = time.perf_counter()
+        t0 = time.perf_counter_ns()
         diffs = [reps.represent(alg.coproduct(x), pair) * rr
                  - rr * reps.represent(alg.coproduct_op(x), pair) for x in gens]
         out.append(_make_result(f"rmatrix.intertwining[legs={a}{b}]",
                                 _params(ctx, legs=[a, b]), diffs, t0))
 
-        t0 = time.perf_counter()
+        t0 = time.perf_counter_ns()
         diffs = [reps.represent(alg.coproduct_op(x), pair) * rt
                  - rt * reps.represent(alg.coproduct(x), pair) for x in gens]
         out.append(_make_result(f"rmatrix.opposite_intertwining[legs={a}{b}]",
                                 _params(ctx, legs=[a, b]), diffs, t0))
 
-        t0 = time.perf_counter()
+        t0 = time.perf_counter_ns()
         diffs = [rr * reps.r_matrix_inverse((1, 2), pair) - pair.identity()]
         out.append(_make_result(f"rmatrix.invertibility[legs={a}{b}]",
                                 _params(ctx, legs=[a, b]), diffs, t0))
 
-        t0 = time.perf_counter()
+        t0 = time.perf_counter_ns()
         via_flip, via_series = reps._rt_core_two_ways(pair.modules[0], pair.modules[1])
         out.append(_make_result(f"rmatrix.flip_series_agreement[legs={a}{b}]",
                                 _params(ctx, legs=[a, b]), [via_flip - via_series], t0))
 
-        t0 = time.perf_counter()
+        t0 = time.perf_counter_ns()
         bound = min(pair.spins[0], pair.spins[1])
         diffs = [reps.r_series_term((1, 2), pair, bound + 1),
                  reps.r_matrix((1, 2), pair, extra_terms=1) - rr]
@@ -278,15 +293,15 @@ def check_rmatrix_axioms(ctx: TensorContext) -> list[CheckResult]:
         r13 = reps.r_matrix((1, 3), sub)
         r23 = reps.r_matrix((2, 3), sub)
 
-        t0 = time.perf_counter()
+        t0 = time.perf_counter_ns()
         diffs = [r12 * r13 * r23 - r23 * r13 * r12]
         out.append(_make_result("rmatrix.yang_baxter", _params(sub), diffs, t0))
 
-        t0 = time.perf_counter()
+        t0 = time.perf_counter_ns()
         diffs = [reps.coproduct_split_r(sub, "id_coproduct") - r12 * r13]
         out.append(_make_result("rmatrix.split_id_coproduct", _params(sub), diffs, t0))
 
-        t0 = time.perf_counter()
+        t0 = time.perf_counter_ns()
         diffs = [reps.coproduct_split_r(sub, "coproduct_id") - r23 * r13]
         out.append(_make_result("rmatrix.split_coproduct_id", _params(sub), diffs, t0))
     return out
@@ -327,7 +342,7 @@ def block_slice(m: ExactMatrix, block: frozenset[int]) -> ExactMatrix:
                 f"entry ({r}, {c}) couples the block to its complement")
         if inside:
             out[(r, c)] = v
-    return ExactMatrix(m.dim, out)
+    return ExactMatrix._raw(m.dim, out)
 
 
 class RunStore:
@@ -370,7 +385,7 @@ class RunStore:
 
 
 def _premise_failure(store: RunStore, operands, name: str, params: dict,
-                     started: float) -> CheckResult | None:
+                     started: int) -> CheckResult | None:
     """A failed result naming the first uncertified operand, or None if all are certified.
 
     A residual on W_low proves nothing about an operand outside the
@@ -386,7 +401,7 @@ def _premise_failure(store: RunStore, operands, name: str, params: dict,
         passed=False,
         residual_terms=len(failed),
         witness=f"premise {failed[0]} failed",
-        runtime_ms=int((time.perf_counter() - started) * 1000),
+        runtime_ms=_elapsed_ms(started),
     )
 
 
@@ -402,22 +417,22 @@ def check_theorem_c13(ctx: TensorContext, store: RunStore | None = None) -> list
     ic = store.casimirs
     out = []
 
-    t0 = time.perf_counter()
+    t0 = time.perf_counter_ns()
     out.append(_make_result("theorem.c13_0_two_routes", _params(ctx),
                             [ic["C13_0"] - ic["C13_0_via_r12"]], t0))
-    t0 = time.perf_counter()
+    t0 = time.perf_counter_ns()
     out.append(_make_result("theorem.c13_1_two_routes", _params(ctx),
                             [ic["C13_1"] - ic["C13_1_via_r23"]], t0))
 
     for name in ("C12", "C23", "C13_0", "C13_1", "C123"):
-        t0 = time.perf_counter()
+        t0 = time.perf_counter_ns()
         out.append(_make_result(f"theorem.centralizer[{name}]", _params(ctx),
                                 store.centralizer_residuals(name), t0))
 
     # Partial check that the one-leg Casimirs and the total Casimir are
     # central in the centralizer: they commute with every constructed
     # centralizing element (the full centralizer is not enumerable).
-    t0 = time.perf_counter()
+    t0 = time.perf_counter_ns()
     failure = _premise_failure(store, CENTRALIZER_OPERANDS,
                                "theorem.central_elements_commute", _params(ctx), t0)
     out.append(failure or _make_result(
@@ -431,7 +446,7 @@ def check_theorem_c13(ctx: TensorContext, store: RunStore | None = None) -> list
     # the checks compare C13_1 X with X C13_0 and X C13_1 with C13_0 X.
     c13_0, c13_1 = ic["C13_0"], ic["C13_1"]
     for legs, mirrored in (((2, 3), False), ((1, 2), True)):
-        t0 = time.perf_counter()
+        t0 = time.perf_counter_ns()
         pair = tensor_context(tuple(ctx.spins[i - 1] for i in legs), domain)
         x = reps.embed_two_leg(reps.r_matrix((1, 2), pair) * reps.r_tilde((1, 2), pair),
                                legs, ctx)
@@ -439,7 +454,7 @@ def check_theorem_c13(ctx: TensorContext, store: RunStore | None = None) -> list
         out.append(_make_result(f"theorem.conjugation_r{legs[0]}{legs[1]}", _params(ctx),
                                 [diff], t0))
 
-    t0 = time.perf_counter()
+    t0 = time.perf_counter_ns()
     sym = reps.represent(alg.c13_zero_symbolic(domain), ctx)
     out.append(_make_result("theorem.c13_0_symbolic_route", _params(ctx),
                             [sym - ic["C13_0"]], t0))
@@ -478,14 +493,14 @@ def check_tau(ctx2: TensorContext, ctx3: TensorContext) -> list[CheckResult]:
 
     second_leg = tensor_context((ctx2.spins[1],), domain)
     for name, x in args.items():
-        t0 = time.perf_counter()
+        t0 = time.perf_counter_ns()
         closed = reps.represent(alg.tau_closed_form(x), ctx2)
         conjugated = _tau_matrix(ctx2, reps.represent(x, second_leg))
         out.append(_make_result(f"tau.closed_form[{name}]",
                                 _params(ctx2), [closed - conjugated], t0))
 
     for name, x in args.items():
-        t0 = time.perf_counter()
+        t0 = time.perf_counter_ns()
         tau_x = alg.tau_closed_form(x)
         lhs = reps.represent(alg.coproduct_on_leg(tau_x, 1), ctx3)
         out.append(_make_result(f"tau.left_coaction[{name}]",
@@ -498,7 +513,7 @@ def check_tau(ctx2: TensorContext, ctx3: TensorContext) -> list[CheckResult]:
     r13p = reps.r_matrix((1, 2), pair13)
     r13pi = reps.r_matrix_inverse((1, 2), pair13)
     for g in ("E", "F", "K", "C"):
-        t0 = time.perf_counter()
+        t0 = time.perf_counter_ns()
         x = alg.casimir(domain) if g == "C" else alg.generator(domain, g)
         x1 = reps.represent(alg.extend_coproduct(x, (1,), 3), ctx3)
         x_on_1 = reps.represent(x, tensor_context((ctx3.spins[0],), domain))
@@ -510,7 +525,7 @@ def check_tau(ctx2: TensorContext, ctx3: TensorContext) -> list[CheckResult]:
         out.append(_make_result(f"tau.right_coaction[{g}]",
                                 _params(ctx3), [lhs * split - split * x1], t0))
 
-    t0 = time.perf_counter()
+    t0 = time.perf_counter_ns()
     acc = _id_tau_matrix(alg.coproduct(alg.casimir(domain)), ctx3)
     c13 = reps.represent(alg.extend_coproduct(alg.casimir(domain), (1, 3), 3), ctx3)
     direct = reps.r_tilde_inverse((2, 3), ctx3) * c13 * reps.r_tilde((2, 3), ctx3)
@@ -523,7 +538,7 @@ def check_tau(ctx2: TensorContext, ctx3: TensorContext) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 def _bracket_calibration(name: str, params: dict, chosen, rejected,
-                         started: float) -> CheckResult:
+                         started: int) -> CheckResult:
     """The relation's difference must vanish for the chosen bracket, not the reversed one."""
     entries = _residual_entries(chosen)
     residual = len(entries) + (1 if rejected.is_zero() else 0)
@@ -534,7 +549,7 @@ def _bracket_calibration(name: str, params: dict, chosen, rejected,
         residual_terms=residual,
         witness="" if residual == 0 else "rejected bracket convention also satisfied"
         if rejected.is_zero() else entries[0],
-        runtime_ms=int((time.perf_counter() - started) * 1000),
+        runtime_ms=_elapsed_ms(started),
     )
 
 
@@ -572,11 +587,11 @@ def check_aw3(ctx: TensorContext, store: RunStore | None = None) -> list[CheckRe
     out = []
     for relation in _AW3_RELATIONS:
         name = f"aw3.relation[{relation[0]},{relation[1]}]"
-        t0 = time.perf_counter()
+        t0 = time.perf_counter_ns()
         failure = _premise_failure(store, relation, name, _params(ctx), t0)
         out.append(failure or _make_result(name, _params(ctx), [difference(relation)], t0))
 
-    t0 = time.perf_counter()
+    t0 = time.perf_counter_ns()
     relation = _AW3_RELATIONS[0]
     failure = _premise_failure(store, relation, "aw3.bracket_calibration",
                                dict(_params(ctx), convention="q*xy - 1/q*yx"), t0)
@@ -598,12 +613,12 @@ def check_aw3_symbolic(domain: ScalarDomain) -> list[CheckResult]:
     rhs = alg.c13_zero_symbolic(domain) + c1 * c3 + c2 * c123
     out = []
 
-    t0 = time.perf_counter()
+    t0 = time.perf_counter_ns()
     lhs = alg.q_commutator(c12, c23).scale(inv_qdiff)
     out.append(_make_result("aw3-symbolic.relation[C12,C23]",
                             _params(domain), [lhs - rhs], t0))
 
-    t0 = time.perf_counter()
+    t0 = time.perf_counter_ns()
     d = domain
     reversed_bracket = ((c12 * c23).scale(d.q(-1))
                         - (c23 * c12).scale(d.q(1))).scale(inv_qdiff)
@@ -618,13 +633,13 @@ def check_aw4(ctx: TensorContext) -> list[CheckResult]:
     ic = reps.intermediate_casimirs(ctx)
     out = []
 
-    t0 = time.perf_counter()
+    t0 = time.perf_counter_ns()
     out.append(_make_result("aw4.c13_0_two_routes", _params(ctx),
                             [ic["C13_0"] - ic["C13_0_via_r12"]], t0))
-    t0 = time.perf_counter()
+    t0 = time.perf_counter_ns()
     out.append(_make_result("aw4.c24_1_two_routes", _params(ctx),
                             [ic["C24_1"] - ic["C24_1_via_r34"]], t0))
-    t0 = time.perf_counter()
+    t0 = time.perf_counter_ns()
     a, b = ic["C13_0"], ic["C24_1"]
     out.append(_make_result("aw4.commutator[C13_0,C24_1]", _params(ctx),
                             [a * b - b * a], t0))
@@ -637,7 +652,7 @@ def check_aw4(ctx: TensorContext) -> list[CheckResult]:
 
 def negative_control_check(domain: ScalarDomain) -> CheckResult:
     """A deliberately corrupted generator matrix; must FAIL (nonzero residual)."""
-    t0 = time.perf_counter()
+    t0 = time.perf_counter_ns()
     mod = reps.spin_module(1, domain)
     bad = mod.e + ExactMatrix(mod.dim, {(0, 0): domain.one})
     diff = mod.k * bad - (bad * mod.k).scale(domain.q(1))
@@ -677,14 +692,15 @@ def _suite_tasks(name: str, config: RunConfig, domain: ScalarDomain):
     tasks = []
     def ctx3():
         return tensor_context(spins[:3], domain)
-    store = RunStore(ctx3()) if name in ("theorem", "aw3", "all") else None
+    # Built on first use, so a re-run of one group builds only what it needs.
+    store = cache(lambda: RunStore(ctx3()))
 
     if name in ("structure", "all"):
         tasks.append(lambda: check_structure(ctx3(), config.rng_seed))
     if name in ("rmatrix", "all"):
         tasks.append(lambda: check_rmatrix_axioms(ctx3()))
     if name in ("theorem", "all"):
-        tasks.append(lambda: check_theorem_c13(store.ctx, store))
+        tasks.append(lambda: check_theorem_c13(store().ctx, store()))
     if name in ("tau", "all"):
         three = spins + (spins[-1],) if name == "tau" else spins[:3]
         tasks.append(lambda: check_tau(tensor_context(spins[:2], domain),
@@ -692,7 +708,7 @@ def _suite_tasks(name: str, config: RunConfig, domain: ScalarDomain):
     if name in ("aw3-symbolic", "all"):
         tasks.append(lambda: check_aw3_symbolic(domain))
     if name in ("aw3", "all"):
-        tasks.append(lambda: check_aw3(store.ctx, store))
+        tasks.append(lambda: check_aw3(store().ctx, store()))
     if name == "aw4" or (name == "all" and len(spins) == 4):
         tasks.append(lambda: check_aw4(tensor_context(spins[:4], domain)))
     if config.negative_control:
@@ -700,10 +716,53 @@ def _suite_tasks(name: str, config: RunConfig, domain: ScalarDomain):
     return tasks
 
 
-def _run_once(name: str, config: RunConfig, domain: ScalarDomain) -> list[CheckResult]:
-    results = [r for task in _suite_tasks(name, config, domain) for r in task()]
+def _run_groups(name: str, config: RunConfig, domain: ScalarDomain,
+                only: set[int] | None = None) -> list[list[CheckResult] | None]:
+    """The results of each check group on domain; None for a group outside only."""
+    return [task() if only is None or i in only else None
+            for i, task in enumerate(_suite_tasks(name, config, domain))]
+
+
+def _flat_sorted(groups) -> list[CheckResult]:
+    results = [r for group in groups for r in group]
     results.sort(key=lambda r: r.name)
     return results
+
+
+def _run_once(name: str, config: RunConfig, domain: ScalarDomain) -> list[CheckResult]:
+    return _flat_sorted(_run_groups(name, config, domain))
+
+
+def _run_at(domain: ScalarDomain, name: str, config: RunConfig,
+            only: set[int] | None = None) -> list[list[CheckResult] | None]:
+    """_run_groups on a point domain, whose tables are dropped when it is done."""
+    try:
+        return _run_groups(name, config, domain, only)
+    finally:
+        domain.clear_memo()
+
+
+def _run_point(name: str, config: RunConfig, s0) -> list[CheckResult]:
+    """The checks at the sample point s0, computed mod RESIDUE_PRIME.
+
+    A group with a failed check is run again at s0 over Q, and its results
+    replace the residue results (their runtimes add up), so every witness
+    is an exact rational one.  A denominator that is 0 mod P runs the whole
+    point over Q; a PoleError there propagates, and the caller resamples.
+    """
+    try:
+        groups = _run_at(ResidueDomain(s0), name, config)
+    except PoleError:
+        return _flat_sorted(_run_at(PointDomain(s0), name, config))
+    failed = {i for i, group in enumerate(groups) if not all(r.passed for r in group)}
+    if failed:
+        rerun = _run_at(PointDomain(s0), name, config, failed)
+        for i in failed:
+            spent = {r.name: r.runtime_ms for r in groups[i]}
+            for r in rerun[i]:
+                r.runtime_ms += spent[r.name]
+            groups[i] = rerun[i]
+    return _flat_sorted(groups)
 
 
 def _merge_eval(runs: list[tuple[str, list[CheckResult]]],
@@ -782,16 +841,15 @@ def run_suite(name: str, config: RunConfig) -> SuiteReport:
             if s0 in used:
                 continue
             used.add(s0)
-            domain = PointDomain(s0)
             try:
-                runs.append((f"s={s0}", _run_once(name, config, domain)))
+                runs.append((f"s={s0}", _run_point(name, config, s0)))
             except PoleError:
                 continue
-            finally:
-                domain.clear_memo()
         results = _merge_eval(runs, config)
     results.extend(_consistency_extras(results))
     results.sort(key=lambda r: r.name)
+    for r in results:
+        r.runtime_ms = round(r.runtime_ms)
     return SuiteReport(
         suite=name,
         version=TOOL_VERSION,

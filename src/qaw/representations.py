@@ -52,6 +52,16 @@ class ExactMatrix:
         raise AttributeError("ExactMatrix is immutable")
 
     @classmethod
+    def _raw(cls, dim: int, entries: dict[tuple[int, int], object]) -> ExactMatrix:
+        # Adopt an entry map that already holds no zero entries, uncopied.
+        # Callers copy a map they deleted cancelled entries from first: the
+        # copy drops the dead slots, which a kept result would hold for a run.
+        self = object.__new__(cls)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "_entries", entries)
+        return self
+
+    @classmethod
     def identity(cls, dim: int, one) -> ExactMatrix:
         return cls(dim, {(i, i): one for i in range(dim)})
 
@@ -93,6 +103,7 @@ class ExactMatrix:
         if not isinstance(other, ExactMatrix):
             return NotImplemented
         self._check_dim(other)
+        deleted = False
         out = dict(self._entries)
         for rc, v in other._entries.items():
             w = out.get(rc)
@@ -101,15 +112,17 @@ class ExactMatrix:
                 out[rc] = w
             elif rc in out:
                 del out[rc]
-        return ExactMatrix(self.dim, out)
+                deleted = True
+        return ExactMatrix._raw(self.dim, dict(out) if deleted else out)
 
     def __neg__(self):
-        return ExactMatrix(self.dim, {rc: -v for rc, v in self._entries.items()})
+        return ExactMatrix._raw(self.dim, {rc: -v for rc, v in self._entries.items()})
 
     def __sub__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
         self._check_dim(other)
+        deleted = False
         out = dict(self._entries)
         for rc, v in other._entries.items():
             w = out.get(rc)
@@ -118,12 +131,14 @@ class ExactMatrix:
                 out[rc] = w
             elif rc in out:
                 del out[rc]
-        return ExactMatrix(self.dim, out)
+                deleted = True
+        return ExactMatrix._raw(self.dim, dict(out) if deleted else out)
 
     def scale(self, c) -> ExactMatrix:
         if not c:
             return ExactMatrix(self.dim)
-        return ExactMatrix(self.dim, {rc: v * c for rc, v in self._entries.items()})
+        # A product of nonzero field elements is nonzero.
+        return ExactMatrix._raw(self.dim, {rc: v * c for rc, v in self._entries.items()})
 
     def __mul__(self, other):
         if not isinstance(other, ExactMatrix):
@@ -136,6 +151,7 @@ class ExactMatrix:
         for (r, c), v in other._entries.items():
             cols.setdefault(r, []).append((c, v))
         out: dict[tuple[int, int], object] = {}
+        deleted = False
         for r, left in rows.items():
             for c1, v1 in left:
                 right = cols.get(c1)
@@ -150,17 +166,16 @@ class ExactMatrix:
                         out[rc] = w
                     elif rc in out:
                         del out[rc]
-        return ExactMatrix(self.dim, out)
+                        deleted = True
+        return ExactMatrix._raw(self.dim, dict(out) if deleted else out)
 
     def kron(self, other: ExactMatrix) -> ExactMatrix:
         d2 = other.dim
         out = {}
         for (r1, c1), v1 in self._entries.items():
             for (r2, c2), v2 in other._entries.items():
-                v = v1 * v2
-                if v:
-                    out[(r1 * d2 + r2, c1 * d2 + c2)] = v
-        return ExactMatrix(self.dim * d2, out)
+                out[(r1 * d2 + r2, c1 * d2 + c2)] = v1 * v2
+        return ExactMatrix._raw(self.dim * d2, out)
 
     # -- serialization
 
@@ -309,6 +324,7 @@ def represent(x: TensorElement, ctx: TensorContext) -> ExactMatrix:
     if x.domain != ctx.domain:
         raise ArityMismatchError("element and context use different scalar domains")
     acc: dict[tuple[int, int], object] = {}
+    deleted = False
     for key, coeff in x.items():
         mat = ctx.monomial_matrix(key)
         for rc, v in mat.items():
@@ -319,7 +335,8 @@ def represent(x: TensorElement, ctx: TensorContext) -> ExactMatrix:
                 acc[rc] = w
             elif rc in acc:
                 del acc[rc]
-    return ExactMatrix(ctx.total_dim, acc)
+                deleted = True
+    return ExactMatrix._raw(ctx.total_dim, dict(acc) if deleted else acc)
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +481,7 @@ def embed_two_leg(m: ExactMatrix, legs: tuple[int, int], ctx: TensorContext) -> 
         base_c = ca * sa + cb * sb
         for off in offsets:
             out[(base_r + off, base_c + off)] = v
-    return ExactMatrix(ctx.total_dim, out)
+    return ExactMatrix._raw(ctx.total_dim, out)
 
 
 def r_matrix(legs: tuple[int, int], ctx: TensorContext,

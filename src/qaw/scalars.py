@@ -23,11 +23,13 @@ positive leading coefficient).  Every denominator the workbench produces
 is the exact scalar of the symbolic domain; RatFunc stays the general-field
 reference.
 
-A :class:`ScalarDomain` selects between the symbolic field (CycloFrac
-values) and exact rational evaluation at a fixed admissible point s0 (used
-for randomized Schwartz-Zippel style identity testing).  All algebra and
-representation code is written against the domain interface, so an entire
-verification suite can run either symbolically or over plain Fractions.
+A :class:`ScalarDomain` selects what a computation runs over: the symbolic
+field (CycloFrac values), exact rational evaluation at a fixed admissible
+point s0 (Fractions), or the same point reduced modulo the prime
+P = 2**61 - 1 (Residue values), the last two for randomized Schwartz-Zippel
+style identity testing.  All algebra and representation code is written
+against the domain interface, so an entire verification suite can run in
+any of them.
 """
 
 from __future__ import annotations
@@ -1010,13 +1012,14 @@ def random_admissible_point(rng: random.Random) -> Fraction:
 class ScalarDomain:
     """Factory interface for the scalars a computation runs over.
 
-    ``SYMBOLIC`` produces exact CycloFrac values; ``PointDomain(s0)`` produces
-    plain Fractions obtained by substituting s = s0.  Values from either
-    domain support +, -, *, /, ==, and are falsy exactly when zero, which is
-    all the algebra and matrix layers rely on.  A domain also owns the data
-    derived over it, memoised by :func:`domain_memo`: ``SYMBOLIC`` keeps it
-    for the process, and eval mode clears a ``PointDomain``'s memo when its
-    point is done.
+    ``SYMBOLIC`` produces exact CycloFrac values; ``PointDomain(s0)``
+    produces plain Fractions obtained by substituting s = s0;
+    ``ResidueDomain(s0)`` produces those Fractions reduced mod 2**61 - 1.
+    Values from any domain support +, -, *, /, ==, and are falsy exactly
+    when zero, which is all the algebra and matrix layers rely on.  A domain
+    also owns the data derived over it, memoised by :func:`domain_memo`:
+    ``SYMBOLIC`` keeps it for the process, and eval mode clears a point
+    domain's memo when its point is done.
     """
 
     mode: str
@@ -1135,6 +1138,138 @@ class PointDomain(ScalarDomain):
 
     def __repr__(self) -> str:
         return f"PointDomain({self.s0!r})"
+
+
+# ---------------------------------------------------------------------------
+# residues modulo the Mersenne prime 2**61 - 1
+# ---------------------------------------------------------------------------
+
+RESIDUE_PRIME = (1 << 61) - 1
+
+
+class Residue:
+    """An element of Z/P, P = RESIDUE_PRIME: the scalar of a ResidueDomain.
+
+    Division by a residue that is 0 mod P raises PoleError: the denominator
+    of the rational value it stands for vanishes mod P, so the point has no
+    residue image and is computed over Q instead.
+    """
+
+    __slots__ = ("v",)
+
+    def __init__(self, v: int):
+        self.v = v  # 0 <= v < P
+
+    def __add__(self, other):
+        if other.__class__ is not Residue and (other := _as_residue(other)) is None:
+            return NotImplemented
+        v = self.v + other.v
+        return Residue(v - RESIDUE_PRIME if v >= RESIDUE_PRIME else v)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Residue(RESIDUE_PRIME - self.v if self.v else 0)
+
+    def __sub__(self, other):
+        if other.__class__ is not Residue and (other := _as_residue(other)) is None:
+            return NotImplemented
+        v = self.v - other.v
+        return Residue(v + RESIDUE_PRIME if v < 0 else v)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        if other.__class__ is not Residue and (other := _as_residue(other)) is None:
+            return NotImplemented
+        return Residue(self.v * other.v % RESIDUE_PRIME)
+
+    __rmul__ = __mul__
+
+    def inverse(self) -> Residue:
+        if not self.v:
+            raise PoleError("division by a residue that is 0 mod 2^61-1")
+        return Residue(pow(self.v, -1, RESIDUE_PRIME))
+
+    def __truediv__(self, other):
+        if other.__class__ is not Residue and (other := _as_residue(other)) is None:
+            return NotImplemented
+        return self * other.inverse()
+
+    def __rtruediv__(self, other):
+        return self.inverse() * other
+
+    def __pow__(self, n: int):
+        base = self.inverse() if n < 0 else self
+        return Residue(pow(base.v, abs(n), RESIDUE_PRIME))
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Residue and (other := _as_residue(other)) is None:
+            return NotImplemented
+        return self.v == other.v
+
+    def __hash__(self) -> int:
+        return hash(self.v)
+
+    def __bool__(self) -> bool:
+        return self.v != 0
+
+    def __repr__(self) -> str:
+        return f"{self.v} (mod 2^61-1)"
+
+
+def _as_residue(x) -> Residue | None:
+    return Residue(x % RESIDUE_PRIME) if isinstance(x, int) else None
+
+
+class ResidueDomain(ScalarDomain):
+    """Arithmetic in Z/P at an admissible point s0 = p/r, mapped to p * r^-1 mod P.
+
+    Every value is the rational value at s0 reduced mod P, the reduction
+    being a ring homomorphism on the rationals whose denominator P does not
+    divide; a denominator that is 0 mod P raises PoleError.  A residue that
+    is nonzero mod P proves the rational value nonzero; a zero residue can
+    be a false zero, as for any sample point.
+    """
+
+    mode = "eval"
+
+    def __init__(self, s0: Fraction):
+        super().__init__()
+        self.s0 = check_admissible_point(s0)
+        p, r = self.s0.numerator % RESIDUE_PRIME, self.s0.denominator % RESIDUE_PRIME
+        if not p or not r:
+            raise PoleError(f"s = {self.s0} has no invertible image mod 2^61-1")
+        self._s = p * pow(r, -1, RESIDUE_PRIME) % RESIDUE_PRIME
+
+    def _value(self, p: LaurentPoly) -> int:
+        s = self._s
+        return sum(c * pow(s, e, RESIDUE_PRIME) for e, c in p._terms.items()) % RESIDUE_PRIME
+
+    def s(self, k: int):
+        return Residue(pow(self._s, k, RESIDUE_PRIME))
+
+    def integer(self, c: int):
+        return Residue(c % RESIDUE_PRIME)
+
+    def from_laurent(self, p: LaurentPoly):
+        return Residue(self._value(p))
+
+    def from_ratio(self, num: LaurentPoly, den: LaurentPoly):
+        return Residue(self._value(num)) / Residue(self._value(den))
+
+    def describe(self) -> str:
+        return f"s={self.s0}"
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, ResidueDomain) and self.s0 == other.s0
+
+    def __hash__(self) -> int:
+        return hash((ResidueDomain, self.s0))
+
+    def __repr__(self) -> str:
+        return f"ResidueDomain({self.s0!r})"
 
 
 SYMBOLIC = SymbolicDomain()

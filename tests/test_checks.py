@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -9,14 +10,17 @@ import pytest
 import qaw
 from qaw import representations as reps
 from qaw import algebra as alg
+from qaw import checks
 from qaw.checks import (CheckResult, ConfigurationError, RunConfig, SUITE_NAMES,
-                        UnknownSuiteError, _merge_eval, block_slice, check_aw3,
-                        check_aw3_symbolic, check_aw4, check_rmatrix_axioms,
-                        check_structure, check_tau, check_theorem_c13,
-                        lowest_weight_indices, negative_control_check, run_suite)
+                        UnknownSuiteError, _merge_eval, _run_once, _run_point,
+                        block_slice, check_aw3, check_aw3_symbolic, check_aw4,
+                        check_rmatrix_axioms, check_structure, check_tau,
+                        check_theorem_c13, lowest_weight_indices,
+                        negative_control_check, run_suite)
 from qaw.representations import (ExactMatrix, InternalMismatchError, spin_module,
                                  tensor_context)
-from qaw.scalars import SYMBOLIC
+from qaw.scalars import (RESIDUE_PRIME, SYMBOLIC, PointDomain, PoleError,
+                         ResidueDomain)
 
 
 def all_pass(results):
@@ -166,12 +170,13 @@ class TestEvalMode:
             "import gc\n"
             "from qaw.checks import RunConfig, run_suite\n"
             "from qaw.representations import SpinModule\n"
-            "from qaw.scalars import PointDomain\n"
+            "from qaw.scalars import PointDomain, ResidueDomain\n"
             f"{before}\n"
             "cfg = RunConfig(spins=(1, 1, 1), mode='eval', eval_points=2)\n"
             "assert run_suite('all', cfg).passed\n"
             f"{after}\n"
-            "print(sum(isinstance(o, (PointDomain, SpinModule)) for o in gc.get_objects()))\n")
+            "print(sum(isinstance(o, (PointDomain, ResidueDomain, SpinModule))\n"
+            "          for o in gc.get_objects()))\n")
         src = str(Path(qaw.__file__).resolve().parents[1])
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env={**os.environ, "PYTHONPATH": src}, check=True, timeout=120)
@@ -182,6 +187,54 @@ class TestEvalMode:
 
     def test_point_tables_are_freed_without_the_cyclic_collector(self):
         assert self._alive_after_eval_run("gc.disable()", "") == "0"
+
+    def test_report_runtimes_are_whole_milliseconds(self):
+        cfg = RunConfig(suite="aw3-symbolic", mode="eval", eval_points=2)
+        assert all(type(c.runtime_ms) is int for c in run_suite("aw3-symbolic", cfg).checks)
+
+
+def _without_runtime(results):
+    return [(r.name, r.params, r.passed, r.residual_terms, r.witness) for r in results]
+
+
+# An integer of multiplicative order 3 mod P: q = s0**2 has order 3, so [3]_q = 0 mod P.
+ORDER_THREE = 1669582390241348315
+
+
+class TestResiduePoints:
+    @pytest.mark.parametrize("spins", [(1, 1, 1), (2, 1, 2)])
+    @pytest.mark.parametrize("negative_control", [False, True])
+    def test_residue_path_reproduces_the_rational_results(self, spins, negative_control):
+        cfg = RunConfig(spins=spins, mode="eval", negative_control=negative_control)
+        for s0 in (Fraction(51, 55), Fraction(43, 21)):
+            assert _without_runtime(_run_point("all", cfg, s0)) == \
+                _without_runtime(_run_once("all", cfg, PointDomain(s0)))
+
+    def test_failing_group_is_rerun_over_the_rationals(self):
+        cfg = RunConfig(spins=(1, 1, 1), mode="eval", negative_control=True)
+        bad = [r for r in _run_point("all", cfg, Fraction(51, 55))
+               if r.name.startswith("negative_control")]
+        assert bad[0].witness == "0 0 :: 21624/166375"
+
+    def test_root_of_unity_mod_p_needs_no_fallback(self):
+        # [3]_q = 0 mod P, but E^3 is then 0 mod P on every module, so the
+        # R-matrix series stops before it needs the coefficient a_3.
+        cfg = RunConfig(suite="rmatrix", spins=(3, 3, 1), mode="eval")
+        s0 = Fraction(ORDER_THREE)
+        residue = _run_once("rmatrix", cfg, ResidueDomain(s0))
+        assert all(r.passed for r in residue)
+        assert _without_runtime(_run_point("rmatrix", cfg, s0)) == \
+            _without_runtime(_run_once("rmatrix", cfg, PointDomain(s0)))
+
+    def test_pole_mod_p_runs_the_point_over_the_rationals(self):
+        cfg = RunConfig(suite="rmatrix", spins=(3, 3, 1), mode="eval")
+        s0 = Fraction(RESIDUE_PRIME + 1)  # s = 1 mod P, so q - 1/q = 0 mod P
+        with pytest.raises(PoleError):
+            _run_once("rmatrix", cfg, ResidueDomain(s0))
+        results = _run_point("rmatrix", cfg, s0)
+        assert _without_runtime(results) == \
+            _without_runtime(_run_once("rmatrix", cfg, PointDomain(s0)))
+        assert all(r.passed for r in results)
 
 
 def _result(name, passed):
@@ -205,6 +258,12 @@ class TestMergeEval:
                 ("s=3", [_result(n, True) for n in second])]
         with pytest.raises(InternalMismatchError):
             _merge_eval(runs, RunConfig(mode="eval"))
+
+    def test_runtimes_are_summed_unrounded(self, monkeypatch):
+        # Each point's check takes 0.6 ms; run_suite rounds the sum once.
+        monkeypatch.setattr(checks.time, "perf_counter_ns", lambda: 600_000)
+        runs = [(f"s={p}", [checks._make_result("a", {}, [], 0)]) for p in range(2, 22)]
+        assert round(_merge_eval(runs, RunConfig(mode="eval"))[0].runtime_ms) == 12
 
 
 class TestLowestWeightSpace:

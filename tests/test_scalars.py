@@ -3,12 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from qaw.scalars import (SYMBOLIC, CycloFrac, ForbiddenPointError,
-                         LaurentPoly, NonCyclotomicError, PointDomain,
-                         PoleError, RatFunc, cyclotomic, evaluate_scalar,
-                         laurent_divexact, laurent_gcd, q_factorial,
-                         q_integer, r_series_coefficient,
-                         random_admissible_point)
+from qaw.scalars import (RESIDUE_PRIME, SYMBOLIC, CycloFrac,
+                         ForbiddenPointError, LaurentPoly, NonCyclotomicError,
+                         PointDomain, PoleError, RatFunc, ResidueDomain,
+                         cyclotomic, evaluate_scalar, laurent_divexact,
+                         laurent_gcd, q_factorial, q_integer,
+                         r_series_coefficient, random_admissible_point)
 from qaw.scalars import _root_table
 
 
@@ -301,3 +301,66 @@ class TestDomains:
         assert PointDomain(Fraction(5, 3)) == PointDomain(Fraction(5, 3))
         assert hash(PointDomain(Fraction(5, 3))) == hash(PointDomain(Fraction(5, 3)))
         assert PointDomain(Fraction(5, 3)) != SYMBOLIC
+
+
+def _mod_p(x: Fraction) -> int:
+    return x.numerator * pow(x.denominator, -1, RESIDUE_PRIME) % RESIDUE_PRIME
+
+
+# An integer of multiplicative order 3 mod P: q = s0**2 has order 3, so [3]_q = 0 mod P.
+ORDER_THREE = 1669582390241348315
+
+
+class TestResidueDomain:
+    POINTS = (Fraction(5, 3), Fraction(51, 55), Fraction(2, 97), Fraction(-7, 4), Fraction(96, 95))
+
+    def test_matches_point_domain_mod_p(self):
+        # PointDomain's Fraction values, reduced mod P, are the reference.
+        rng = random.Random(13)
+        gen = TestCycloFrac()
+        for s0 in self.POINTS:
+            res, pt = ResidueDomain(s0), PointDomain(s0)
+            for _ in range(40):
+                values = []
+                for x in (gen._pair(rng)[0], gen._pair(rng)[0],
+                          gen._pair(rng, cyclotomic_num=True)[0]):
+                    r = x.to_ratfunc()
+                    values.append((res.from_ratio(r.num, r.den), pt.from_ratio(r.num, r.den)))
+                    assert values[-1][0].v == _mod_p(values[-1][1])
+                (a, fa), (b, fb), (u, fu) = values
+                poly = LaurentPoly({rng.randint(-6, 6): rng.randint(-9, 9) for _ in range(4)})
+                n = rng.randint(-3, 3)
+                pairs = [(res.from_laurent(poly), pt.from_laurent(poly)),
+                         (a + b, fa + fb), (a - b, fa - fb), (a * b, fa * fb),
+                         (a / u, fa / fu), (u ** n, fu ** n), (-a, -fa),
+                         (3 + a, 3 + fa), (a - 5, fa - 5), (2 - a, 2 - fa),
+                         (a * -4, fa * -4), (1 / u, 1 / fu)]
+                for got, want in pairs:
+                    assert got.v == _mod_p(want)
+                    assert got == _mod_p(want) and bool(got) == (want != 0)
+
+    def test_domain_values(self):
+        res = ResidueDomain(Fraction(5, 3))
+        assert res.s(1) * 3 == 5 and res.s(-1) * 5 == 3
+        assert res.q(2) == res.s(4) == res.s(1) ** 4
+        assert res.integer(-1) == RESIDUE_PRIME - 1 and not res.zero and res.one == 1
+        assert res.describe() == PointDomain(Fraction(5, 3)).describe() == "s=5/3"
+        assert res == ResidueDomain(Fraction(5, 3)) != PointDomain(Fraction(5, 3))
+        assert hash(res) == hash(ResidueDomain(Fraction(5, 3)))
+
+    def test_distinct_sample_points_have_distinct_residues(self):
+        points = {Fraction(p, r) for p in range(2, 98) for r in range(2, 98) if p != r}
+        assert len({ResidueDomain(s0).s(1).v for s0 in points}) == len(points) == 5704
+
+    def test_zero_denominator_mod_p_is_a_pole(self):
+        assert pow(ORDER_THREE, 3, RESIDUE_PRIME) == 1 != ORDER_THREE
+        s0 = Fraction(ORDER_THREE)
+        assert ResidueDomain(s0).q_int(3) == 0
+        with pytest.raises(PoleError):
+            ResidueDomain(s0).series_coeff(3)
+        assert PointDomain(s0).series_coeff(3) != 0
+        at_one = ResidueDomain(Fraction(2 ** 61))  # s0 = P + 1, so q - 1/q = 0 mod P
+        with pytest.raises(PoleError):
+            at_one.one / (at_one.q(1) - at_one.q(-1))
+        with pytest.raises(PoleError):
+            ResidueDomain(Fraction(RESIDUE_PRIME, 2))
