@@ -121,11 +121,16 @@ class CheckResult:
 
 @dataclass
 class SuiteReport:
+    """A run's verdicts.  setup_ms: time the check groups spent outside their
+    checks, on shared operands (summed over eval points); wall_ms: the run."""
+
     suite: str
     version: str
     config: dict
     checks: list[CheckResult] = field(default_factory=list)
     passed: bool = True
+    setup_ms: int = 0
+    wall_ms: int = 0
 
     def as_dict(self) -> dict:
         return {
@@ -134,6 +139,8 @@ class SuiteReport:
             "config": self.config,
             "checks": [c.as_dict() for c in self.checks],
             "passed": self.passed,
+            "setup_ms": self.setup_ms,
+            "wall_ms": self.wall_ms,
         }
 
 
@@ -472,14 +479,15 @@ def _tau_matrix(pair: TensorContext, mat: ExactMatrix) -> ExactMatrix:
 
 
 def _id_tau_matrix(x: TensorElement, ctx3: TensorContext) -> ExactMatrix:
-    """(id @ tau)(x) on a 3-leg context: sum of c u @ tau(v) over the terms c u@v of x."""
+    """(id @ tau)(x) on a 3-leg context, for x = sum of c u@v.
+
+    tau is linear, so this is sum_u rho(u) @ tau(sum_v c rho(v)): one
+    conjugation and one kron per monomial u on the first leg.
+    """
     pair23 = tensor_context(ctx3.spins[1:], ctx3.domain)
-    acc = None
-    for (u, v), coeff in x.items():
-        term = ctx3.modules[0].monomial(u).kron(
-            _tau_matrix(pair23, ctx3.modules[2].monomial(v))).scale(coeff)
-        acc = term if acc is None else acc + term
-    return acc
+    return sum((ctx3.monomial_matrix(u).kron(_tau_matrix(pair23, tail))
+                for u, tail in reps.sum_by_prefix(x, ctx3.modules[2]).items()),
+               ExactMatrix(ctx3.total_dim))
 
 
 def check_tau(ctx2: TensorContext, ctx3: TensorContext) -> list[CheckResult]:
@@ -506,10 +514,12 @@ def check_tau(ctx2: TensorContext, ctx3: TensorContext) -> list[CheckResult]:
         out.append(_make_result(f"tau.left_coaction[{name}]",
                                 _params(ctx3), [lhs - _id_tau_matrix(tau_x, ctx3)], t0))
 
+    # (id @ D) tau_check(x) = R12 tau_check(x)_13 R12^-1 = split x_1 split^-1,
+    # times R12^-1 on the left and split on the right: emb Y = Y x_1 with
+    # Y = R12^-1 split.  R12^-1 is invertible (R R^-1 = 1 is checked when it
+    # is built), so the verdict is the same, and no 3-leg matrix is inverted.
     pair13 = tensor_context((ctx3.spins[0], ctx3.spins[2]), domain)
-    split = reps.coproduct_split_r(ctx3, "id_coproduct")
-    r12 = reps.r_matrix((1, 2), ctx3)
-    r12i = reps.r_matrix_inverse((1, 2), ctx3)
+    y = reps.r_matrix_inverse((1, 2), ctx3) * reps.coproduct_split_r(ctx3, "id_coproduct")
     r13p = reps.r_matrix((1, 2), pair13)
     r13pi = reps.r_matrix_inverse((1, 2), pair13)
     for g in ("E", "F", "K", "C"):
@@ -519,11 +529,9 @@ def check_tau(ctx2: TensorContext, ctx3: TensorContext) -> list[CheckResult]:
         x_on_1 = reps.represent(x, tensor_context((ctx3.spins[0],), domain))
         tau_check = r13p * x_on_1.kron(
             ExactMatrix.identity(pair13.dims[1], domain.one)) * r13pi
-        lhs = r12 * reps.embed_two_leg(tau_check, (1, 3), ctx3) * r12i
-        # (id @ D) tau_check(x) = split x_1 split^-1; compare in product form
-        # so the 3-leg matrix never needs inverting.
+        emb = reps.embed_two_leg(tau_check, (1, 3), ctx3)
         out.append(_make_result(f"tau.right_coaction[{g}]",
-                                _params(ctx3), [lhs * split - split * x1], t0))
+                                _params(ctx3), [emb * y - y * x1], t0))
 
     t0 = time.perf_counter_ns()
     acc = _id_tau_matrix(alg.coproduct(alg.casimir(domain)), ctx3)
@@ -717,10 +725,20 @@ def _suite_tasks(name: str, config: RunConfig, domain: ScalarDomain):
 
 
 def _run_groups(name: str, config: RunConfig, domain: ScalarDomain,
-                only: set[int] | None = None) -> list[list[CheckResult] | None]:
-    """The results of each check group on domain; None for a group outside only."""
-    return [task() if only is None or i in only else None
-            for i, task in enumerate(_suite_tasks(name, config, domain))]
+                only: set[int] | None = None, setup: list[float] | None = None
+                ) -> list[list[CheckResult] | None]:
+    """The results of each check group on domain; None for a group outside only.
+
+    The time each group spends outside its checks' runtimes is added to
+    setup[0] (ms), if setup is given.
+    """
+    groups = []
+    for i, task in enumerate(_suite_tasks(name, config, domain)):
+        t0 = time.perf_counter_ns()
+        groups.append(task() if only is None or i in only else None)
+        if setup is not None and groups[-1]:
+            setup[0] += _elapsed_ms(t0) - sum(r.runtime_ms for r in groups[-1])
+    return groups
 
 
 def _flat_sorted(groups) -> list[CheckResult]:
@@ -729,20 +747,23 @@ def _flat_sorted(groups) -> list[CheckResult]:
     return results
 
 
-def _run_once(name: str, config: RunConfig, domain: ScalarDomain) -> list[CheckResult]:
-    return _flat_sorted(_run_groups(name, config, domain))
+def _run_once(name: str, config: RunConfig, domain: ScalarDomain,
+              setup: list[float] | None = None) -> list[CheckResult]:
+    return _flat_sorted(_run_groups(name, config, domain, setup=setup))
 
 
 def _run_at(domain: ScalarDomain, name: str, config: RunConfig,
-            only: set[int] | None = None) -> list[list[CheckResult] | None]:
+            only: set[int] | None = None, setup: list[float] | None = None
+            ) -> list[list[CheckResult] | None]:
     """_run_groups on a point domain, whose tables are dropped when it is done."""
     try:
-        return _run_groups(name, config, domain, only)
+        return _run_groups(name, config, domain, only, setup)
     finally:
         domain.clear_memo()
 
 
-def _run_point(name: str, config: RunConfig, s0) -> list[CheckResult]:
+def _run_point(name: str, config: RunConfig, s0,
+               setup: list[float] | None = None) -> list[CheckResult]:
     """The checks at the sample point s0, computed mod RESIDUE_PRIME.
 
     A group with a failed check is run again at s0 over Q, and its results
@@ -751,12 +772,12 @@ def _run_point(name: str, config: RunConfig, s0) -> list[CheckResult]:
     point over Q; a PoleError there propagates, and the caller resamples.
     """
     try:
-        groups = _run_at(ResidueDomain(s0), name, config)
+        groups = _run_at(ResidueDomain(s0), name, config, setup=setup)
     except PoleError:
-        return _flat_sorted(_run_at(PointDomain(s0), name, config))
+        return _flat_sorted(_run_at(PointDomain(s0), name, config, setup=setup))
     failed = {i for i, group in enumerate(groups) if not all(r.passed for r in group)}
     if failed:
-        rerun = _run_at(PointDomain(s0), name, config, failed)
+        rerun = _run_at(PointDomain(s0), name, config, failed, setup)
         for i in failed:
             spent = {r.name: r.runtime_ms for r in groups[i]}
             for r in rerun[i]:
@@ -826,8 +847,10 @@ def _consistency_extras(results: list[CheckResult]) -> list[CheckResult]:
 def run_suite(name: str, config: RunConfig) -> SuiteReport:
     """Execute a suite in the configured mode and aggregate a SuiteReport."""
     validate_config(name, config)
+    started = time.perf_counter_ns()
+    setup = [0.0]
     if config.mode == "exact":
-        results = _run_once(name, config, SYMBOLIC)
+        results = _run_once(name, config, SYMBOLIC, setup)
     else:
         rng = random.Random(config.rng_seed)
         runs = []
@@ -842,7 +865,7 @@ def run_suite(name: str, config: RunConfig) -> SuiteReport:
                 continue
             used.add(s0)
             try:
-                runs.append((f"s={s0}", _run_point(name, config, s0)))
+                runs.append((f"s={s0}", _run_point(name, config, s0, setup)))
             except PoleError:
                 continue
         results = _merge_eval(runs, config)
@@ -856,4 +879,6 @@ def run_suite(name: str, config: RunConfig) -> SuiteReport:
         config=config.as_dict(),
         checks=results,
         passed=all(r.passed for r in results),
+        setup_ms=round(setup[0]),
+        wall_ms=round(_elapsed_ms(started)),
     )

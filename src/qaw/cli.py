@@ -93,6 +93,7 @@ def _print_report(report: SuiteReport, verbose: bool):
     total_ms = sum(c.runtime_ms for c in report.checks)
     verdict = "PASS" if report.passed else "FAIL"
     print(f"overall: {verdict} ({len(report.checks)} checks, {total_ms} ms)")
+    print(f"setup: {report.setup_ms} ms  wall: {report.wall_ms} ms")
 
 
 def run(config: RunConfig) -> int:

@@ -15,8 +15,9 @@ the flat index of (i_1, ..., i_n) is sum(i_k * strides[k]).  The operator
 q^(2 H@H) used by the R-matrix exists only here, as the diagonal with entry
 s^(4 m_a m_b) on the weight pair (m_a, m_b).
 
-Spin modules, tensor contexts, R-matrix cores and monomial matrices are
-memoised in their scalar domain (``scalars.domain_memo``) and live as long as it.
+Spin modules, tensor contexts, R-matrix cores, the split R and monomial
+matrices are memoised in their scalar domain (``scalars.domain_memo``) and
+live as long as it.
 """
 
 from __future__ import annotations
@@ -103,17 +104,8 @@ class ExactMatrix:
         if not isinstance(other, ExactMatrix):
             return NotImplemented
         self._check_dim(other)
-        deleted = False
         out = dict(self._entries)
-        for rc, v in other._entries.items():
-            w = out.get(rc)
-            w = v if w is None else w + v
-            if w:
-                out[rc] = w
-            elif rc in out:
-                del out[rc]
-                deleted = True
-        return ExactMatrix._raw(self.dim, dict(out) if deleted else out)
+        return ExactMatrix._raw(self.dim, dict(out) if _add_into(out, other) else out)
 
     def __neg__(self):
         return ExactMatrix._raw(self.dim, {rc: -v for rc, v in self._entries.items()})
@@ -194,6 +186,23 @@ class ExactMatrix:
     def _check_dim(self, other: ExactMatrix):
         if self.dim != other.dim:
             raise ArityMismatchError(f"dimension mismatch: {self.dim} vs {other.dim}")
+
+
+def _add_into(acc: dict, mat: ExactMatrix, coeff=None) -> bool:
+    """Add coeff * mat (mat if coeff is None) into the entry map acc,
+    deleting cancelled entries; returns whether one was deleted."""
+    deleted = False
+    for rc, v in mat.items():
+        if coeff is not None:
+            v = coeff * v
+        old = acc.get(rc)
+        w = v if old is None else old + v
+        if w:
+            acc[rc] = w
+        elif old is not None:
+            del acc[rc]
+            deleted = True
+    return deleted
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +310,7 @@ class TensorContext:
 
     @domain_memo
     def monomial_matrix(self, key: tuple[PBWMonomial, ...]) -> ExactMatrix:
+        """The kron of the monomials of key on the first len(key) legs."""
         return reduce(ExactMatrix.kron,
                       (mod.monomial(mono) for mod, mono in zip(self.modules, key)))
 
@@ -316,8 +326,22 @@ def tensor_context(spins: tuple[int, ...], domain: ScalarDomain) -> TensorContex
     return TensorContext(tuple(spins), domain)
 
 
+def sum_by_prefix(x: TensorElement, last: SpinModule) -> dict[tuple, ExactMatrix]:
+    """Per prefix u of x's keys, the sum of c rho(w) on last over x's terms
+    c u@w; prefixes whose sum cancels are left out."""
+    sums: dict[tuple, dict] = {}
+    for key, coeff in x.items():
+        _add_into(sums.setdefault(key[:-1], {}), last.monomial(key[-1]), coeff)
+    return {u: ExactMatrix(last.dim, acc) for u, acc in sums.items() if acc}
+
+
 def represent(x: TensorElement, ctx: TensorContext) -> ExactMatrix:
-    """Evaluate a symbolic element to its matrix on the context (algebra morphism)."""
+    """Evaluate a symbolic element to its matrix on the context (algebra morphism).
+
+    The terms are grouped by their monomials on all legs but the last:
+    rho(x) = sum_u rho(u) @ (sum_w c rho(w)) over the terms c u@w, so the
+    coefficients scale last-leg matrices and each prefix u costs one kron.
+    """
     if x.arity != ctx.arity:
         raise ArityMismatchError(
             f"element arity {x.arity} vs context arity {ctx.arity}")
@@ -325,17 +349,8 @@ def represent(x: TensorElement, ctx: TensorContext) -> ExactMatrix:
         raise ArityMismatchError("element and context use different scalar domains")
     acc: dict[tuple[int, int], object] = {}
     deleted = False
-    for key, coeff in x.items():
-        mat = ctx.monomial_matrix(key)
-        for rc, v in mat.items():
-            w = coeff * v
-            old = acc.get(rc)
-            w = w if old is None else old + w
-            if w:
-                acc[rc] = w
-            elif rc in acc:
-                del acc[rc]
-                deleted = True
+    for u, tail in sum_by_prefix(x, ctx.modules[-1]).items():
+        deleted |= _add_into(acc, ctx.monomial_matrix(u).kron(tail) if u else tail)
     return ExactMatrix._raw(ctx.total_dim, dict(acc) if deleted else acc)
 
 
@@ -355,24 +370,27 @@ def _weight_diagonal(mod_a: SpinModule, mod_b: SpinModule, sign: int = 1) -> Exa
     return ExactMatrix(mod_a.dim * dim_b, out)
 
 
-def _series(x: ExactMatrix, coeff, n_max: int, one) -> ExactMatrix:
-    """sum_{n=0}^{n_max} coeff(n) x^n, stopping once x^n vanishes (x is nilpotent)."""
-    total = ExactMatrix(x.dim)
-    term = ExactMatrix.identity(x.dim, one)
+def _series(a: ExactMatrix, b: ExactMatrix, coeff, n_max: int, one) -> ExactMatrix:
+    """sum_{n=0}^{n_max} coeff(n) (a @ b)^n, stopping once (a @ b)^n vanishes.
+
+    (a @ b)^n = a^n @ b^n, so powers and scaling stay on the factors.
+    """
+    total = ExactMatrix(a.dim * b.dim)
+    pa, pb = ExactMatrix.identity(a.dim, one), ExactMatrix.identity(b.dim, one)
     for n in range(n_max + 1):
         if n:
-            term = term * x
-            if term.is_zero():
+            pa, pb = pa * a, pb * b
+            if pa.is_zero() or pb.is_zero():
                 break
         c = coeff(n)
         if c:
-            total = total + term.scale(c)
+            total = total + pa.scale(c).kron(pb)
     return total
 
 
-def _r_nilpotent(mod_a: SpinModule, mod_b: SpinModule) -> ExactMatrix:
-    """X = E q^H @ q^-H F, the nilpotent part of the R-matrix series."""
-    return (mod_a.e * mod_a.k).kron(mod_b.kinv * mod_b.f)
+def _r_nilpotent(mod_a: SpinModule, mod_b: SpinModule) -> tuple[ExactMatrix, ExactMatrix]:
+    """The factors of X = E q^H @ q^-H F, the nilpotent part of the R-matrix series."""
+    return mod_a.e * mod_a.k, mod_b.kinv * mod_b.f
 
 
 @domain_memo
@@ -386,15 +404,15 @@ def _r_core(mod_a: SpinModule, mod_b: SpinModule, extra_terms: int) -> ExactMatr
     d = mod_a.domain
     bound = min(mod_a.two_j, mod_b.two_j) + extra_terms
     return _weight_diagonal(mod_a, mod_b) * _series(
-        _r_nilpotent(mod_a, mod_b), d.series_coeff, bound, d.one)
+        *_r_nilpotent(mod_a, mod_b), d.series_coeff, bound, d.one)
 
 
 @domain_memo
 def _theta_core(mod_a: SpinModule, mod_b: SpinModule) -> ExactMatrix:
     """The reordered series Theta = sum_n a_n (F q^H @ q^-H E)^n."""
     d = mod_a.domain
-    x = (mod_a.f * mod_a.k).kron(mod_b.kinv * mod_b.e)
-    return _series(x, d.series_coeff, min(mod_a.two_j, mod_b.two_j), d.one)
+    return _series(mod_a.f * mod_a.k, mod_b.kinv * mod_b.e, d.series_coeff,
+                   min(mod_a.two_j, mod_b.two_j), d.one)
 
 
 def _flip(mod_a: SpinModule, mod_b: SpinModule) -> ExactMatrix:
@@ -437,7 +455,7 @@ def _r_core_inverse(mod_a: SpinModule, mod_b: SpinModule) -> ExactMatrix:
         a = d.series_coeff(n) * d.q(-n * (n - 1))
         return -a if n % 2 else a
 
-    inv = _series(_r_nilpotent(mod_a, mod_b), coeff,
+    inv = _series(*_r_nilpotent(mod_a, mod_b), coeff,
                   min(mod_a.two_j, mod_b.two_j), d.one) * _weight_diagonal(mod_a, mod_b, -1)
     if not (_r_core(mod_a, mod_b, 0) * inv).is_identity():
         raise InternalMismatchError("closed-form R^-1 failed the product check")
@@ -515,7 +533,7 @@ def r_series_term(legs: tuple[int, int], ctx: TensorContext, n: int) -> ExactMat
     a, b = _check_leg_pair(legs, ctx)
     mod_a, mod_b = ctx.modules[a - 1], ctx.modules[b - 1]
     d = ctx.domain
-    term = _series(_r_nilpotent(mod_a, mod_b),
+    term = _series(*_r_nilpotent(mod_a, mod_b),
                    lambda i: d.series_coeff(n) if i == n else d.zero, n, d.one)
     return embed_two_leg(_weight_diagonal(mod_a, mod_b) * term, legs, ctx)
 
@@ -589,34 +607,31 @@ def intermediate_casimirs(ctx: TensorContext) -> dict[str, ExactMatrix]:
 # coproducts of the R-matrix, realized honestly on three legs
 # ---------------------------------------------------------------------------
 
+@domain_memo
 def coproduct_split_r(ctx: TensorContext, side: str) -> ExactMatrix:
     """(id @ D)R or (D @ id)R on a 3-leg context, built from the series.
 
     side "id_coproduct": the coproduct acts on the second tensor factor of
     R, so the diagonal carries s^(4 m1 (m2 + m3)) and the nilpotent part is
-    (E q^H) @ D(q^-H F).  side "coproduct_id" is the mirror image.
+    A @ B with A = E q^H on leg 1 and B = D(q^-H F) on legs 2-3.  side
+    "coproduct_id" is the mirror image.  The series is summed on the factors
+    (``_series``), and the result is memoised in the domain, so a run builds
+    each side once.
     """
     if ctx.arity != 3:
         raise ArityMismatchError("coproduct_split_r needs a 3-leg context")
     d = ctx.domain
     kinv_f = pbw_element(d, 0, 0, -1) * generator(d, "F")
     e_k = generator(d, "E") * pbw_element(d, 0, 0, 1)
-    m1, m2, m3 = ctx.modules
     if side == "id_coproduct":
-        pair = tensor_context((ctx.spins[1], ctx.spins[2]), d)
-        x = represent(e_k, tensor_context((ctx.spins[0],), d)).kron(
-            represent(coproduct(kinv_f), pair))
+        a = represent(e_k, tensor_context(ctx.spins[:1], d))
+        b = represent(coproduct(kinv_f), tensor_context(ctx.spins[1:], d))
     elif side == "coproduct_id":
-        pair = tensor_context((ctx.spins[0], ctx.spins[1]), d)
-        x = represent(coproduct(e_k), pair).kron(
-            represent(kinv_f, tensor_context((ctx.spins[2],), d)))
+        a = represent(coproduct(e_k), tensor_context(ctx.spins[:2], d))
+        b = represent(kinv_f, tensor_context(ctx.spins[2:], d))
     else:
         raise ValueError(f"unknown side {side!r}")
-    diag = {}
-    for i1, t1 in enumerate(m1.two_m):
-        for i2, t2 in enumerate(m2.two_m):
-            for i3, t3 in enumerate(m3.two_m):
-                i = ctx.flat_index((i1, i2, i3))
-                expo = t1 * (t2 + t3) if side == "id_coproduct" else (t1 + t2) * t3
-                diag[(i, i)] = d.s(expo)
-    return ExactMatrix(ctx.total_dim, diag) * _series(x, d.series_coeff, ctx.total_dim, d.one)
+    diag = ExactMatrix.diagonal(
+        d.s(t1 * (t2 + t3) if side == "id_coproduct" else (t1 + t2) * t3)
+        for t1, t2, t3 in itertools.product(*(m.two_m for m in ctx.modules)))
+    return diag * _series(a, b, d.series_coeff, ctx.total_dim, d.one)

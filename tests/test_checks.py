@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -120,7 +121,8 @@ class TestRunSuite:
     def test_report_schema(self):
         report = run_suite("aw3-symbolic", RunConfig(suite="aw3-symbolic"))
         data = report.as_dict()
-        assert set(data) == {"suite", "version", "config", "checks", "passed"}
+        assert set(data) == {"suite", "version", "config", "checks", "passed",
+                           "setup_ms", "wall_ms"}
         for check in data["checks"]:
             assert set(check) == {"name", "params", "passed", "residual_terms",
                                   "witness", "runtime_ms"}
@@ -399,6 +401,53 @@ class TestRestrictedChecks:
                             lambda ctx: calls.append(ctx.spins) or real(ctx))
         assert run_suite("all", RunConfig(spins=(1, 2, 1))).passed
         assert calls == [(1, 2, 1)]
+
+
+class TestLegFactorForms:
+    @pytest.mark.parametrize("domain", [SYMBOLIC, PointDomain(Fraction(5, 3)),
+                                        ResidueDomain(Fraction(43, 21))],
+                             ids=["symbolic", "point", "residue"])
+    @pytest.mark.parametrize("spins", [(1, 1, 1), (2, 1, 2)])
+    def test_grouped_id_tau_matches_term_by_term(self, domain, spins):
+        ctx3 = tensor_context(spins, domain)
+        pair23 = tensor_context(spins[1:], domain)
+        mod1, mod3 = ctx3.modules[0], ctx3.modules[2]
+        elements = [alg.tau_closed_form(x) for x in alg.tau_argument_elements(domain).values()]
+        for x in elements + [alg.coproduct(alg.casimir(domain))]:
+            reference = ExactMatrix(ctx3.total_dim)
+            for (u, v), c in x.items():
+                reference = reference + mod1.monomial(u).kron(
+                    checks._tau_matrix(pair23, mod3.monomial(v))).scale(c)
+            assert checks._id_tau_matrix(x, ctx3) == reference
+
+    def test_split_r_is_built_once_per_run(self, monkeypatch):
+        # Count the series sums of the 18-dimensional (2,1,2) split R by the
+        # dimension of their first factor: 3 for (id @ D)R, 6 for (D @ id)R.
+        builds = Counter()
+        real = reps._series
+
+        def counted(a, b, *rest):
+            if a.dim * b.dim == 18:
+                builds[a.dim] += 1
+            return real(a, b, *rest)
+        monkeypatch.setattr(reps, "_series", counted)
+        SYMBOLIC.clear_memo()
+        assert run_suite("all", RunConfig(spins=(2, 1, 2))).passed
+        assert builds == {3: 1, 6: 1}
+        assert run_suite("all", RunConfig(spins=(2, 1, 2))).passed
+        assert builds == {3: 1, 6: 1}
+        builds.clear()
+        assert run_suite("all", RunConfig(spins=(2, 1, 2), mode="eval", eval_points=2)).passed
+        assert builds == {3: 2, 6: 2}
+
+
+@pytest.mark.parametrize("mode", ["exact", "eval"])
+def test_setup_and_checks_account_for_the_wall_time(mode):
+    report = run_suite("all", RunConfig(spins=(2, 1, 2), mode=mode, eval_points=3))
+    attributed = report.setup_ms + sum(c.runtime_ms for c in report.checks)
+    assert report.setup_ms > 0
+    # Each runtime is rounded to whole ms on its own.
+    assert abs(report.wall_ms - attributed) <= 0.05 * report.wall_ms + len(report.checks) / 2
 
 
 def test_exact_mode_reuses_symbolic_tables():

@@ -59,7 +59,8 @@ class TestRun:
                                  "--json", str(path)]))
         assert status == 0
         data = json.loads(path.read_text())
-        assert set(data) == {"suite", "version", "config", "checks", "passed"}
+        assert set(data) == {"suite", "version", "config", "checks", "passed",
+                           "setup_ms", "wall_ms"}
         assert data["passed"] is True
         # Verdicts in the JSON document match the text report exactly.
         out = capsys.readouterr().out

@@ -1,12 +1,14 @@
+import itertools
 import random
 from fractions import Fraction
+from functools import reduce
 from pathlib import Path
 
 import pytest
 
 from qaw.algebra import (ArityMismatchError, casimir, coproduct, coproduct_op,
-                         extend_coproduct, generator, random_element,
-                         unit_element)
+                         extend_coproduct, generator, pbw_element,
+                         random_element, unit_element)
 from qaw.representations import (ExactMatrix, InternalMismatchError,
                                  casimir_scalar_highest_weight,
                                  coproduct_split_r, embed_two_leg,
@@ -15,11 +17,16 @@ from qaw.representations import (ExactMatrix, InternalMismatchError,
                                  r_matrix_inverse, r_series_term, r_tilde,
                                  r_tilde_inverse, represent, spin_module,
                                  tensor_context)
-from qaw.scalars import SYMBOLIC, PointDomain, RatFunc, q_integer
+from qaw.scalars import SYMBOLIC, PointDomain, RatFunc, ResidueDomain, q_integer
 
 GOLDEN = Path(__file__).parent / "golden"
 
 D = SYMBOLIC
+
+# The three scalar domains every leg-factor construction is compared in.
+DOMAINS = pytest.mark.parametrize("domain", [D, PointDomain(Fraction(5, 3)),
+                                             ResidueDomain(Fraction(43, 21))],
+                                  ids=["symbolic", "point", "residue"])
 
 
 class TestExactMatrix:
@@ -101,6 +108,23 @@ class TestRepresent:
         with pytest.raises(ArityMismatchError):
             represent(unit_element(D, 2), tensor_context((1, 1, 1), D))
 
+    @DOMAINS
+    @pytest.mark.parametrize("spins", [(2,), (1, 3), (2, 1, 2), (1, 2, 1, 1)])
+    def test_grouped_matches_term_by_term(self, domain, spins):
+        # Products of random elements repeat leg prefixes and cancel terms.
+        rng = random.Random(len(spins))
+        ctx = tensor_context(spins, domain)
+        for _ in range(3):
+            x = random_element(domain, len(spins), rng, max_power=1, max_k=1)
+            y = random_element(domain, len(spins), rng, max_power=1, max_k=1)
+            for z in (x, x * y, x * y - y * x):
+                reference = ExactMatrix(ctx.total_dim)
+                for key, c in z.items():
+                    mono = reduce(ExactMatrix.kron, (spin_module(t, domain).monomial(m)
+                                                     for t, m in zip(spins, key)))
+                    reference = reference + mono.scale(c)
+                assert represent(z, ctx) == reference
+
 
 class TestRMatrix:
     def test_trivial_leg_gives_identity(self):
@@ -148,6 +172,36 @@ class TestRMatrix:
         r13 = r_matrix((1, 3), ctx)
         r23 = r_matrix((2, 3), ctx)
         assert r12 * r13 * r23 == r23 * r13 * r12
+
+    @staticmethod
+    def _split_r_full_space(ctx, side):
+        """The split R as the full-space series of x = A @ B times the weight diagonal."""
+        d = ctx.domain
+        kinv_f = pbw_element(d, 0, 0, -1) * generator(d, "F")
+        e_k = generator(d, "E") * pbw_element(d, 0, 0, 1)
+        if side == "id_coproduct":
+            x = represent(e_k, tensor_context(ctx.spins[:1], d)).kron(
+                represent(coproduct(kinv_f), tensor_context(ctx.spins[1:], d)))
+        else:
+            x = represent(coproduct(e_k), tensor_context(ctx.spins[:2], d)).kron(
+                represent(kinv_f, tensor_context(ctx.spins[2:], d)))
+        series, term = ExactMatrix(ctx.total_dim), ctx.identity()
+        for n in range(ctx.total_dim):
+            series = series + term.scale(d.series_coeff(n))
+            term = term * x
+            if term.is_zero():
+                break
+        diag = ExactMatrix.diagonal(
+            d.s(t1 * (t2 + t3) if side == "id_coproduct" else (t1 + t2) * t3)
+            for t1, t2, t3 in itertools.product(*(m.two_m for m in ctx.modules)))
+        return diag * series
+
+    @DOMAINS
+    @pytest.mark.parametrize("spins", [(1, 1, 2), (2, 3, 1), (4, 4, 4)])
+    def test_factor_power_split_matches_full_space_series(self, domain, spins):
+        ctx = tensor_context(spins, domain)
+        for side in ("id_coproduct", "coproduct_id"):
+            assert coproduct_split_r(ctx, side) == self._split_r_full_space(ctx, side)
 
     def test_coproduct_splits(self):
         ctx = tensor_context((1, 1, 2), D)
