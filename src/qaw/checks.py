@@ -27,22 +27,36 @@ of V_J @ M_J, an element X of the centralizer of the diagonal action acts
 as the sum of 1 @ X_J, and W_low meets every V_J, so X is zero exactly when
 its block on W_low is zero.  Every operand preserves weight, so the block
 is a slice (``block_slice``, which raises InternalMismatchError otherwise).
-The restricted checks and their premises, each a full-space centralizer
-residual [Delta^(2)(g), X] for g = E, F, K built once per run by RunStore:
+The restricted checks, and the operands each rests on (its premises):
 
   aw3.relation[C12,C23], [C13_0,C12], [C23,C13_0], aw3.bracket_calibration:
       C1, C2, C3, C12, C23, C13_0, C123
   aw3.relation[C23,C12], [C12,C13_1], [C13_1,C23]:
       C1, C2, C3, C12, C23, C13_1, C123
-  theorem.central_elements_commute:
-      C1, C2, C3, C12, C23, C13_0, C13_1, C123
+  theorem.central_elements_commute: the eight Casimirs above
+  theorem.conjugation_r23 / _r12: C13_0, C13_1, X23 = R23 Rt23 / X12 = R12 Rt12
+
+RunStore certifies each operand once per run, by differences that must vanish:
+
+  C1, C2, C3:  [m, c] on its own leg, m = E, F, K, K^-1
+  C12, X12:    [D(g), Y] on legs 12, g = E, F, K, K^-1
+  C23, X23:    the same on legs 23, and (D @ id)D(g) - (id @ D)D(g), g = E, F, K
+  C13_0, C13_1, C123:  [Delta^(2)(g), X] on the full space, g = E, F, K
+
+Delta^(2) = (D @ id)D (``extend_coproduct``), so [Delta^(2)(g), Y @ 1] is
+the sum of [D(g_1), Y] @ g_2 and, by coassociativity, [Delta^(2)(g), 1 @ Y]
+the sum of g_1 @ [D(g_2), Y], over the terms g_1 @ g_2 of D(g), whose
+factors are E, F, K and K^-1.  A leg-certified operand is embedded from the
+very matrix that was certified.
 
 The premises of C12, C23, C13_0, C13_1 and C123 are reported as
-``theorem.centralizer[...]``.  If a premise fails, the restricted check
-fails without running: its witness is ``premise theorem.centralizer[X]
-failed`` for the first failed premise X, and residual_terms counts the
-failed premises.  Otherwise residual_terms and the witness of a failing
-restricted check count and name W_low entries (full-space indices).
+``theorem.centralizer[...]``; those of C12 and C23 name pair entries.  If a
+premise fails, the restricted check fails without running: its witness is
+``premise theorem.centralizer[X] failed`` for the first failed premise X
+(X12 and X23 included, which have no check of their own), and
+residual_terms counts the failed premises.  Otherwise residual_terms and
+the witness of a failing restricted check count and name W_low entries
+(full-space indices).
 """
 
 from __future__ import annotations
@@ -197,6 +211,12 @@ def _params(ctx_or_domain, **extra) -> dict:
 # structure checks: defining relations, centrality, coassociativity, morphism
 # ---------------------------------------------------------------------------
 
+def _coassociativity(elems) -> list[TensorElement]:
+    """(D @ id)D(x) - (id @ D)D(x) for each x in elems."""
+    return [alg.coproduct_on_leg(alg.coproduct(x), 1) - alg.coproduct_on_leg(alg.coproduct(x), 2)
+            for x in elems]
+
+
 def check_structure(ctx: TensorContext, rng_seed: int = 0) -> list[CheckResult]:
     domain = ctx.domain
     out = []
@@ -216,9 +236,8 @@ def check_structure(ctx: TensorContext, rng_seed: int = 0) -> list[CheckResult]:
     t0 = time.perf_counter_ns()
     elems = [alg.generator(domain, "E"), alg.generator(domain, "F"),
              alg.generator(domain, "K"), c]
-    diffs = [alg.coproduct_on_leg(alg.coproduct(x), 1)
-             - alg.coproduct_on_leg(alg.coproduct(x), 2) for x in elems]
-    out.append(_make_result("structure.coassociativity", _params(ctx), diffs, t0))
+    out.append(_make_result("structure.coassociativity", _params(ctx),
+                            _coassociativity(elems), t0))
 
     t0 = time.perf_counter_ns()
     rng = random.Random(rng_seed)
@@ -318,9 +337,15 @@ def check_rmatrix_axioms(ctx: TensorContext) -> list[CheckResult]:
 # the lowest weight space and the run-scoped store
 # ---------------------------------------------------------------------------
 
-# The operands of the restricted checks, each certified by its centralizer
-# residual before any check uses its block on W_low.
-CENTRALIZER_OPERANDS = ("C1", "C2", "C3", "C12", "C23", "C13_0", "C13_1", "C123")
+# The operands of the restricted checks, each certified as a centralizer
+# element before any check uses its block on W_low.  X12 and X23 are
+# R Rtilde on their leg pair, the conjugators of theorem.conjugation_r*.
+CASIMIR_OPERANDS = ("C1", "C2", "C3", "C12", "C23", "C13_0", "C13_1", "C123")
+CENTRALIZER_OPERANDS = CASIMIR_OPERANDS + ("X12", "X23")
+
+# The operands certified on their own legs, and those legs.
+LEG_OPERANDS = {"C1": (1,), "C2": (2,), "C3": (3,), "C12": (1, 2), "C23": (2, 3),
+                "X12": (1, 2), "X23": (2, 3)}
 
 
 def lowest_weight_indices(ctx: TensorContext) -> frozenset[int]:
@@ -357,37 +382,75 @@ class RunStore:
 
     One store is built per run (per point in eval mode) and dropped with it,
     so the memo of ``SYMBOLIC`` never holds it.  It builds the intermediate
-    Casimirs once, and for each operand X once, on first use, its
-    full-space centralizer residuals [Delta^(2)(g), X] for g = E, F, K and
-    its block on W_low.
+    Casimirs once, and for each operand once, on first use, its centralizer
+    residuals and its block on W_low.  An operand of LEG_OPERANDS is built
+    as a matrix on its legs (``leg``), certified there, and embedded from
+    that very matrix; the others are certified on the full space.
     """
 
     def __init__(self, ctx: TensorContext):
         self.ctx = ctx
         self.lowest_weight = lowest_weight_indices(ctx)
-        self._residuals: dict[str, list[ExactMatrix]] = {}
+        self._legs: dict[str, ExactMatrix] = {}
+        self._residuals: dict[str, list] = {}
         self._low: dict[str, ExactMatrix] = {}
+
+    def _sub(self, legs) -> TensorContext:
+        return tensor_context(tuple(self.ctx.spins[i - 1] for i in legs), self.ctx.domain)
+
+    def leg(self, name: str) -> ExactMatrix:
+        """The operand name of LEG_OPERANDS as a matrix on its own legs."""
+        if name not in self._legs:
+            legs = LEG_OPERANDS[name]
+            if name.startswith("X"):
+                pair = self._sub(legs)
+                self._legs[name] = reps.r_matrix((1, 2), pair) * reps.r_tilde((1, 2), pair)
+            else:
+                self._legs[name] = reps.leg_casimir(legs, self.ctx)
+        return self._legs[name]
 
     @cached_property
     def casimirs(self) -> dict[str, ExactMatrix]:
-        return reps.intermediate_casimirs(self.ctx)
+        return reps.intermediate_casimirs(self.ctx, {
+            LEG_OPERANDS[name]: self.leg(name) for name in ("C1", "C2", "C3", "C12", "C23")})
+
+    def operand(self, name: str) -> ExactMatrix:
+        if name.startswith("X"):
+            return reps.embed_legs(self.leg(name), LEG_OPERANDS[name], self.ctx)
+        return self.casimirs[name]
 
     @cached_property
-    def _diagonal_action(self) -> list[ExactMatrix]:
-        domain = self.ctx.domain
-        return [reps.represent(alg.extend_coproduct(alg.generator(domain, g), (1, 2, 3), 3),
-                               self.ctx) for g in ("E", "F", "K")]
+    def _actions(self) -> dict[tuple[int, ...], list[ExactMatrix]]:
+        """The diagonal action on each leg, leg pair and all legs: of E, F, K
+        and, but on all legs, K^-1."""
+        d = self.ctx.domain
+        out = {}
+        for legs in ((1,), (2,), (3,), (1, 2), (2, 3), (1, 2, 3)):
+            n = len(legs)
+            gens = ("E", "F", "K") if n == 3 else ("E", "F", "K", "Kinv")
+            out[legs] = [reps.represent(alg.extend_coproduct(
+                alg.generator(d, g), tuple(range(1, n + 1)), n), self._sub(legs)) for g in gens]
+        return out
 
-    def centralizer_residuals(self, name: str) -> list[ExactMatrix]:
+    def centralizer_residuals(self, name: str) -> list:
+        """The operand's certificate (module docstring): differences whose
+        vanishing proves that it commutes with Delta^(2)(g), g = E, F, K."""
         if name not in self._residuals:
-            mat = self.casimirs[name]
-            self._residuals[name] = [dx * mat - mat * dx for dx in self._diagonal_action]
+            legs = LEG_OPERANDS.get(name, (1, 2, 3))
+            mat = self.leg(name) if name in LEG_OPERANDS else self.casimirs[name]
+            self._residuals[name] = [a * mat - mat * a for a in self._actions[legs]]
+            if legs == (2, 3):
+                self._residuals[name] += _coassociativity(
+                    [alg.generator(self.ctx.domain, g) for g in ("E", "F", "K")])
         return self._residuals[name]
+
+    def certified(self, name: str) -> bool:
+        return all(d.is_zero() for d in self.centralizer_residuals(name))
 
     def low(self, name: str) -> ExactMatrix:
         """The operand's block on W_low; read only after its premise passed."""
         if name not in self._low:
-            self._low[name] = block_slice(self.casimirs[name], self.lowest_weight)
+            self._low[name] = block_slice(self.operand(name), self.lowest_weight)
         return self._low[name]
 
 
@@ -399,7 +462,7 @@ def _premise_failure(store: RunStore, operands, name: str, params: dict,
     centralizer, so a restricted check never passes on one.
     """
     failed = [f"theorem.centralizer[{op}]" for op in CENTRALIZER_OPERANDS
-              if op in operands and not all(d.is_zero() for d in store.centralizer_residuals(op))]
+              if op in operands and not store.certified(op)]
     if not failed:
         return None
     return CheckResult(
@@ -440,7 +503,7 @@ def check_theorem_c13(ctx: TensorContext, store: RunStore | None = None) -> list
     # central in the centralizer: they commute with every constructed
     # centralizing element (the full centralizer is not enumerable).
     t0 = time.perf_counter_ns()
-    failure = _premise_failure(store, CENTRALIZER_OPERANDS,
+    failure = _premise_failure(store, CASIMIR_OPERANDS,
                                "theorem.central_elements_commute", _params(ctx), t0)
     out.append(failure or _make_result(
         "theorem.central_elements_commute", _params(ctx),
@@ -450,16 +513,18 @@ def check_theorem_c13(ctx: TensorContext, store: RunStore | None = None) -> list
     # C13_1 = X C13_0 X^-1 with X = R23 Rt23, and C13_1 = X^-1 C13_0 X with
     # X = R12 Rt12.  X is invertible (the closed-form R^-1 passed its product
     # check and Rt its two-way check when the store built the Casimirs), so
-    # the checks compare C13_1 X with X C13_0 and X C13_1 with C13_0 X.
-    c13_0, c13_1 = ic["C13_0"], ic["C13_1"]
+    # the checks compare C13_1 X with X C13_0 and X C13_1 with C13_0 X.  X is
+    # certified on its pair, so the residual lies in the centralizer and is
+    # compared on W_low.
     for legs, mirrored in (((2, 3), False), ((1, 2), True)):
+        name, x_name = f"theorem.conjugation_r{legs[0]}{legs[1]}", f"X{legs[0]}{legs[1]}"
         t0 = time.perf_counter_ns()
-        pair = tensor_context(tuple(ctx.spins[i - 1] for i in legs), domain)
-        x = reps.embed_two_leg(reps.r_matrix((1, 2), pair) * reps.r_tilde((1, 2), pair),
-                               legs, ctx)
-        diff = x * c13_1 - c13_0 * x if mirrored else c13_1 * x - x * c13_0
-        out.append(_make_result(f"theorem.conjugation_r{legs[0]}{legs[1]}", _params(ctx),
-                                [diff], t0))
+        result = _premise_failure(store, ("C13_0", "C13_1", x_name), name, _params(ctx), t0)
+        if result is None:
+            x, c13_0, c13_1 = store.low(x_name), store.low("C13_0"), store.low("C13_1")
+            diff = x * c13_1 - c13_0 * x if mirrored else c13_1 * x - x * c13_0
+            result = _make_result(name, _params(ctx), [diff], t0)
+        out.append(result)
 
     t0 = time.perf_counter_ns()
     sym = reps.represent(alg.c13_zero_symbolic(domain), ctx)
@@ -561,6 +626,11 @@ def _bracket_calibration(name: str, params: dict, chosen, rejected,
     )
 
 
+def _q_bracket(xy, yx, kx, ky):
+    """kx xy - ky yx: the q-commutator [x, y]_q for (kx, ky) = (q, 1/q)."""
+    return xy.scale(kx) - yx.scale(ky)
+
+
 # (x, y, z, a, b, c, d): [x, y]_q / (q - 1/q) = z + a b + c d.
 _AW3_RELATIONS = (
     ("C12", "C23", "C13_0", "C1", "C3", "C2", "C123"),
@@ -589,9 +659,12 @@ def check_aw3(ctx: TensorContext, store: RunStore | None = None) -> list[CheckRe
     def difference(relation, reverse=False):
         x, y, z, a, b, c, d = relation
         kx, ky = (qm, qp) if reverse else (qp, qm)
-        lhs = (prod(x, y).scale(kx) - prod(y, x).scale(ky)).scale(inv_qdiff)
+        lhs = _q_bracket(prod(x, y), prod(y, x), kx, ky).scale(inv_qdiff)
         return lhs - (store.low(z) + prod(a, b) + prod(c, d))
 
+    # The premises are shared setup, built before the first check's clock.
+    for name in CASIMIR_OPERANDS:
+        store.certified(name)
     out = []
     for relation in _AW3_RELATIONS:
         name = f"aw3.relation[{relation[0]},{relation[1]}]"

@@ -1,7 +1,9 @@
+import gc
 import json
 import os
 import subprocess
 import sys
+import time
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -12,8 +14,9 @@ import qaw
 from qaw import representations as reps
 from qaw import algebra as alg
 from qaw import checks
-from qaw.checks import (CheckResult, ConfigurationError, RunConfig, SUITE_NAMES,
-                        UnknownSuiteError, _merge_eval, _run_once, _run_point,
+from qaw.checks import (LEG_OPERANDS, CheckResult, ConfigurationError, RunConfig,
+                        RunStore, SUITE_NAMES, UnknownSuiteError, _merge_eval,
+                        _run_once, _run_point,
                         block_slice, check_aw3, check_aw3_symbolic, check_aw4,
                         check_rmatrix_axioms, check_structure, check_tau,
                         check_theorem_c13, lowest_weight_indices,
@@ -301,8 +304,8 @@ def _perturb(monkeypatch, name, delta):
     """Make intermediate_casimirs return name + delta(casimirs, ctx) in place of name."""
     real = reps.intermediate_casimirs
 
-    def perturbed(ctx):
-        ic = dict(real(ctx))
+    def perturbed(ctx, *on_legs):
+        ic = dict(real(ctx, *on_legs))
         ic[name] = ic[name] + delta(ic, ctx)
         return ic
     monkeypatch.setattr(reps, "intermediate_casimirs", perturbed)
@@ -398,15 +401,125 @@ class TestRestrictedChecks:
         calls = []
         real = reps.intermediate_casimirs
         monkeypatch.setattr(reps, "intermediate_casimirs",
-                            lambda ctx: calls.append(ctx.spins) or real(ctx))
+                            lambda ctx, *on_legs: calls.append(ctx.spins) or real(ctx, *on_legs))
         assert run_suite("all", RunConfig(spins=(1, 2, 1))).passed
         assert calls == [(1, 2, 1)]
 
 
+DOMAINS = pytest.mark.parametrize(
+    "domain", [SYMBOLIC, PointDomain(Fraction(5, 3)), ResidueDomain(Fraction(43, 21))],
+    ids=["symbolic", "point", "residue"])
+
+
+class TestLegCertificates:
+    @DOMAINS
+    @pytest.mark.parametrize("spins", [(1, 1, 1), (2, 1, 2), (3, 1, 2), (4, 4, 4)])
+    def test_leg_built_operands_match_the_full_space(self, domain, spins):
+        ctx = tensor_context(spins, domain)
+        store = RunStore(ctx)
+        c = alg.casimir(domain)
+        for name, legs in LEG_OPERANDS.items():
+            assert store.certified(name), name
+            expected = (reps.represent(alg.extend_coproduct(c, legs, 3), ctx) if name[0] == "C"
+                        else reps.r_matrix(legs, ctx) * reps.r_tilde(legs, ctx))
+            assert store.operand(name) == expected, name
+
+    def test_operands_embed_the_certified_leg_matrices(self, monkeypatch):
+        # Twice a certified matrix is certified; the operand must follow it.
+        real = RunStore.leg
+        two = SYMBOLIC.integer(2)
+        monkeypatch.setattr(RunStore, "leg", lambda store, name: real(store, name).scale(two))
+        ctx = tensor_context((2, 1, 2), SYMBOLIC)
+        store = RunStore(ctx)
+        for name, legs in LEG_OPERANDS.items():
+            assert store.certified(name), name
+            assert store.operand(name) == reps.embed_legs(real(store, name), legs, ctx).scale(two)
+
+    def test_legs_23_rest_on_coassociativity(self, monkeypatch):
+        monkeypatch.setattr(checks, "_coassociativity", lambda elems: [
+            alg.extend_coproduct(elems[0], (1, 2, 3), 3)])
+        failed = {r.name for r in check_theorem_c13(tensor_context((1, 1, 1), SYMBOLIC))
+                  if not r.passed}
+        assert failed == {"theorem.centralizer[C23]", "theorem.central_elements_commute",
+                          "theorem.conjugation_r23"}
+
+    @DOMAINS
+    @pytest.mark.parametrize("spins", [(1, 1, 1), (2, 1, 2)])
+    @pytest.mark.parametrize("perturbation", [None, "uncertified", "certified"])
+    def test_restricted_conjugation_matches_the_full_space(self, monkeypatch, domain, spins,
+                                                           perturbation):
+        # X + e_(0,0) fails its premise; X + the pair Casimir passes it and is
+        # a wrong conjugator.
+        real = RunStore.leg
+
+        def perturbed(store, name):
+            m = real(store, name)
+            if name[0] != "X" or perturbation is None:
+                return m
+            if perturbation == "uncertified":
+                return m + ExactMatrix(m.dim, {(0, 0): domain.one})
+            return m + reps.leg_casimir(LEG_OPERANDS[name], store.ctx)
+        monkeypatch.setattr(RunStore, "leg", perturbed)
+        ctx = tensor_context(spins, domain)
+        store = RunStore(ctx)
+        results = {r.name: r for r in check_theorem_c13(ctx, store)}
+        c13_0, c13_1 = store.casimirs["C13_0"], store.casimirs["C13_1"]
+        for a, b in ((2, 3), (1, 2)):
+            x = store.operand(f"X{a}{b}")
+            diff = x * c13_1 - c13_0 * x if a == 1 else c13_1 * x - x * c13_0
+            result = results[f"theorem.conjugation_r{a}{b}"]
+            assert result.passed == diff.is_zero() == (perturbation is None)
+            if perturbation == "uncertified":
+                assert result.witness == f"premise theorem.centralizer[X{a}{b}] failed"
+            elif perturbation == "certified":
+                block = store.lowest_weight
+                low = sum(1 for (r, c), _ in diff.items() if r in block and c in block)
+                assert result.residual_terms == low > 0
+
+    @DOMAINS
+    def test_sub_matches_an_entrywise_reference(self, domain):
+        ctx = tensor_context((2, 1, 2), domain)
+        a = reps.represent(alg.extend_coproduct(alg.casimir(domain), (1, 2), 3), ctx)
+        b = reps.embed_legs(reps.leg_casimir((1, 2), ctx), (1, 2), ctx)
+        assert a is not b and a == b
+        c = b + ExactMatrix(ctx.total_dim, {(0, 0): domain.one, (0, 1): domain.one})
+        d = reps.intermediate_casimirs(ctx)["C13_0"]
+
+        def reference(x, y):
+            keys = {rc for rc, _ in x.items()} | {rc for rc, _ in y.items()}
+            diffs = {rc: (x.entry(*rc) or domain.zero) - (y.entry(*rc) or domain.zero)
+                     for rc in keys}
+            return {rc: w for rc, w in diffs.items() if w}
+        for x, y in ((a, b), (b, a), (a, c), (c, a), (a, d), (d, a), (a, ExactMatrix(a.dim))):
+            assert dict((x - y).items()) == reference(x, y)
+        assert (a - b).is_zero() and not (a - c).is_zero()
+
+    def test_aw3_premises_are_setup(self, monkeypatch):
+        built = set()
+        real = RunStore.centralizer_residuals
+
+        def slow(store, name):
+            if (id(store), name) not in built:
+                built.add((id(store), name))
+                time.sleep(0.03)
+            return real(store, name)
+        monkeypatch.setattr(RunStore, "centralizer_residuals", slow)
+        # A collection of the test session's garbage would land in some check.
+        gc.collect()
+        gc.disable()
+        try:
+            report = run_suite("aw3", RunConfig(spins=(1, 1, 1)))
+        finally:
+            gc.enable()
+        assert report.passed
+        for check in report.checks:
+            if check.name.startswith("aw3.relation["):
+                assert check.runtime_ms < 30, check.name
+        assert report.setup_ms >= 7 * 30
+
+
 class TestLegFactorForms:
-    @pytest.mark.parametrize("domain", [SYMBOLIC, PointDomain(Fraction(5, 3)),
-                                        ResidueDomain(Fraction(43, 21))],
-                             ids=["symbolic", "point", "residue"])
+    @DOMAINS
     @pytest.mark.parametrize("spins", [(1, 1, 1), (2, 1, 2)])
     def test_grouped_id_tau_matches_term_by_term(self, domain, spins):
         ctx3 = tensor_context(spins, domain)

@@ -1,4 +1,4 @@
-"""Mutants of the inputs that the leg-factor checks rest on.
+"""Mutants of the inputs that the leg-factor and leg-certified checks rest on.
 
 Each test perturbs one input, runs suite "all" in exact mode and in eval
 mode with three points, and asserts that the checks built on that input
@@ -25,7 +25,12 @@ TAU_NAMES = ("casimir", "kinv_e", "kinv_squared", "f_kinv")
 
 GROUPS = {"structure": "check_structure", "rmatrix": "check_rmatrix_axioms",
           "theorem": "check_theorem_c13", "tau": "check_tau", "aw3": "check_aw3",
-          "aw3-symbolic": "check_aw3_symbolic"}
+          "aw3-symbolic": "check_aw3_symbolic", "aw4": "check_aw4"}
+
+RESTRICTED_C12 = ("aw3.relation[C12,C23]", "aw3.relation[C13_0,C12]",
+                  "aw3.relation[C23,C13_0]", "aw3.relation[C23,C12]",
+                  "aw3.relation[C12,C13_1]", "aw3.relation[C13_1,C23]",
+                  "aw3.bracket_calibration", "theorem.central_elements_commute")
 
 
 @pytest.fixture
@@ -35,13 +40,31 @@ def fresh_symbolic():
     SYMBOLIC.clear_memo()
 
 
-def _verdicts(monkeypatch, groups, spins, mode):
-    """Verdicts of suite "all" with only the named check groups run."""
+def _report(monkeypatch, groups, spins, mode):
+    """The checks of suite "all" by name, with only the named check groups run."""
     for group, fn in GROUPS.items():
         if group not in groups:
             monkeypatch.setattr(checks, fn, lambda *args: [])
     config = RunConfig(spins=spins, mode=mode, eval_points=3)
-    return {c.name: c.passed for c in run_suite("all", config).checks}
+    return {c.name: c for c in run_suite("all", config).checks}
+
+
+def _verdicts(monkeypatch, groups, spins, mode):
+    """Verdicts of suite "all" with only the named check groups run."""
+    return {name: c.passed for name, c in _report(monkeypatch, groups, spins, mode).items()}
+
+
+def _failed(verdicts):
+    return {name for name, passed in verdicts.items() if not passed}
+
+
+def _plus_top_entry(m: ExactMatrix, domain) -> ExactMatrix:
+    """m with 1 added at (0, 0), the highest weight of every leg.
+
+    It commutes with the weight operators but not with the raising
+    operators, so a centralizer residual sees it.
+    """
+    return m + ExactMatrix(m.dim, {(0, 0): domain.one})
 
 
 @RUNS
@@ -51,8 +74,7 @@ def test_perturbed_split_r(monkeypatch, spins, mode):
     real = reps.coproduct_split_r
     monkeypatch.setattr(reps, "coproduct_split_r", lambda ctx, side: real(ctx, side) + ExactMatrix(
         ctx.total_dim, {(ctx.strides[0], 0): ctx.domain.one}))
-    verdicts = _verdicts(monkeypatch, ("rmatrix", "tau"), spins, mode)
-    failed = {name for name, passed in verdicts.items() if not passed}
+    failed = _failed(_verdicts(monkeypatch, ("rmatrix", "tau"), spins, mode))
     # tau.right_coaction[C] cannot fail: C acts on leg 1 as a scalar, so both
     # sides of its identity are that scalar times Y, whatever Y is.
     assert failed == {"rmatrix.split_id_coproduct", "rmatrix.split_coproduct_id",
@@ -111,3 +133,71 @@ def test_perturbed_generator_entry(monkeypatch, fresh_symbolic, spins, mode):
     monkeypatch.undo()
     SYMBOLIC.clear_memo()
     assert _verdicts(monkeypatch, ("structure",), spins, mode)["structure.represent_morphism"]
+
+
+@RUNS
+def test_perturbed_conjugators(monkeypatch, spins, mode):
+    real = checks.RunStore.leg
+
+    def perturbed(store, name):
+        m = real(store, name)
+        return _plus_top_entry(m, store.ctx.domain) if name[0] == "X" else m
+    monkeypatch.setattr(checks.RunStore, "leg", perturbed)
+    report = _report(monkeypatch, ("theorem",), spins, mode)
+    assert _failed({n: c.passed for n, c in report.items()}) == {
+        "theorem.conjugation_r12", "theorem.conjugation_r23"}
+    for legs in ("12", "23"):
+        assert report[f"theorem.conjugation_r{legs}"].witness.endswith(
+            f"premise theorem.centralizer[X{legs}] failed")
+
+
+@RUNS
+def test_perturbed_pair_casimir(monkeypatch, spins, mode):
+    real = reps.leg_casimir
+    monkeypatch.setattr(reps, "leg_casimir", lambda legs, ctx: _plus_top_entry(
+        real(legs, ctx), ctx.domain) if legs == (1, 2) else real(legs, ctx))
+    report = _report(monkeypatch, ("theorem", "aw3"), spins, mode)
+    assert _failed({n: c.passed for n, c in report.items()}) == {
+        "theorem.centralizer[C12]", *RESTRICTED_C12}
+    for name in RESTRICTED_C12:
+        assert report[name].witness.endswith("premise theorem.centralizer[C12] failed"), name
+
+
+@pytest.mark.parametrize("mode", ["exact", "eval"])
+@pytest.mark.parametrize("legs", [(1, 3), (2, 4)])
+def test_perturbed_pair_casimir_on_four_legs(monkeypatch, mode, legs):
+    real = reps.leg_casimir
+    monkeypatch.setattr(reps, "leg_casimir", lambda on, ctx: _plus_top_entry(
+        real(on, ctx), ctx.domain) if on == legs and ctx.arity == 4 else real(on, ctx))
+    failed = _failed(_verdicts(monkeypatch, ("aw4",), (1, 1, 1, 1), mode))
+    # aw4.commutator cannot fail here: C13_0 and C24_1 are conjugates, by
+    # the same Rt23, of C13 and C24, which act on disjoint legs.
+    assert failed == {"aw4.c13_0_two_routes" if legs == (1, 3) else "aw4.c24_1_two_routes"}
+
+
+@RUNS
+@pytest.mark.parametrize("group, message", [
+    ("rmatrix", "flip-conjugated R and the reordered series disagree"),
+    ("theorem", r"closed-form R\^-1 failed the product check")])
+def test_perturbed_r_core(monkeypatch, fresh_symbolic, spins, mode, group, message):
+    # R certifies itself when it is built: Rtilde (built first by the
+    # rmatrix checks) compares flip-conjugated R with the reordered series,
+    # and R^-1 (built first by the theorem checks) checks R R^-1 = 1.
+    real = reps._r_core
+    monkeypatch.setattr(reps, "_r_core", lambda a, b, extra: _plus_top_entry(
+        real(a, b, extra), a.domain))
+    with pytest.raises(InternalMismatchError, match=message):
+        _verdicts(monkeypatch, (group,), spins, mode)
+
+
+@RUNS
+def test_flipped_q_commutator_sign(monkeypatch, spins, mode):
+    # q xy + 1/q yx in place of q xy - 1/q yx, in the matrix and the symbolic
+    # relations.
+    monkeypatch.setattr(checks, "_q_bracket", lambda xy, yx, kx, ky: xy.scale(kx) + yx.scale(ky))
+    monkeypatch.setattr(alg, "q_commutator", lambda x, y: (
+        (x * y).scale(x.domain.q(1)) + (y * x).scale(x.domain.q(-1))))
+    verdicts = _verdicts(monkeypatch, ("aw3", "aw3-symbolic"), spins, mode)
+    for name in [n for n in verdicts if n.startswith("aw3.relation[")] + [
+            "aw3.bracket_calibration", "aw3-symbolic.relation[C12,C23]"]:
+        assert not verdicts[name], name
