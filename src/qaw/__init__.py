@@ -6,7 +6,7 @@ both symbolically (PBW normal ordering) and in finite-dimensional spin
 representations with exact rational-function matrix entries.
 """
 
-from .scalars import (LaurentPoly, RatFunc, CycloFrac, ScalarDomain,
+from .scalars import (LaurentPoly, CycloFrac, ScalarDomain,
                       SymbolicDomain, PointDomain, ResidueDomain,
                       RESIDUE_PRIME, SYMBOLIC, q_integer,
                       q_factorial, r_series_coefficient, cyclotomic,

@@ -163,14 +163,9 @@ class SuiteReport:
 # ---------------------------------------------------------------------------
 
 def _residual_entries(diff) -> list[str]:
-    if isinstance(diff, TensorElement):
-        return [f"{(c.text() if hasattr(c, 'text') else str(c))} :: "
-                + "|".join(m.text() for m in key)
-                for key, c in sorted(diff.items(), key=lambda kv: kv[0])]
-    if isinstance(diff, ExactMatrix):
-        return [f"{r} {c} :: {(v.text() if hasattr(v, 'text') else str(v))}"
-                for (r, c), v in sorted(diff.items(), key=lambda kv: kv[0])]
-    raise TypeError(f"cannot extract a residual from {diff!r}")
+    if not isinstance(diff, (TensorElement, ExactMatrix)):
+        raise TypeError(f"cannot extract a residual from {diff!r}")
+    return [] if diff.is_zero() else diff.text().split("\n")
 
 
 def _elapsed_ms(started: int) -> float:

@@ -6,22 +6,19 @@ integer coefficients.  Working in s instead of q keeps all exponents
 integral: half-integer weights contribute odd powers of s, and the diagonal
 q**(2*m1*m2) factors never require symbolic square roots.
 
-Three value types implement it:
+Two value types implement it:
 
   LaurentPoly -- sparse integer-coefficient Laurent polynomial in s
-  RatFunc     -- canonical quotient of two LaurentPoly values, for any
-                 denominator; reduced by a polynomial gcd
   CycloFrac   -- num / (c * prod Phi_k(s)**e_k), a LaurentPoly over a
                  positive integer times cyclotomic polynomials; reduced by
                  trial division by the Phi_k present, never a gcd
 
-All are immutable and hashable, and each has a unique reduced form, so
-equality is a structural check.  CycloFrac prints as the canonical RatFunc
-(numerator and denominator coprime, denominator with minimal exponent 0 and
-positive leading coefficient).  Every denominator the workbench produces
+Both are immutable and hashable, and each has a unique reduced form, so
+equality is a structural check.  CycloFrac prints as ``"(num)/(den)"`` with
+numerator and denominator coprime and the denominator of minimal exponent 0
+and positive leading coefficient.  Every denominator the workbench produces
 (q-integers, q-factorials, q - q^-1, q + q^-1) is cyclotomic, so CycloFrac
-is the exact scalar of the symbolic domain; RatFunc stays the general-field
-reference.
+is the exact scalar of the symbolic domain.
 
 A :class:`ScalarDomain` selects what a computation runs over: the symbolic
 field (CycloFrac values), exact rational evaluation at a fixed admissible
@@ -50,7 +47,7 @@ class PoleError(ZeroDivisionError):
 
 
 # ---------------------------------------------------------------------------
-# dense helpers for the ordinary-polynomial layer (used by gcd / divexact)
+# dense helpers for the ordinary-polynomial layer (content / divexact)
 # ---------------------------------------------------------------------------
 
 def _dense_trim(coeffs: list[int]) -> list[int]:
@@ -66,49 +63,6 @@ def _dense_content(coeffs: list[int]) -> int:
         if g == 1:
             break
     return g
-
-
-def _dense_primitive(coeffs: list[int]) -> list[int]:
-    ct = _dense_content(coeffs)
-    if ct > 1:
-        return [c // ct for c in coeffs]
-    return coeffs[:]
-
-
-def _dense_prem(a: list[int], b: list[int]) -> list[int]:
-    """Pseudo-remainder of a by b (b nonzero), over Z[x]."""
-    r = _dense_trim(a[:])
-    db = len(b) - 1
-    lb = b[-1]
-    while r and len(r) - 1 >= db:
-        lead = r[-1]
-        off = len(r) - 1 - db
-        r = [lb * c for c in r]
-        for i, cb in enumerate(b):
-            r[off + i] -= lead * cb
-        _dense_trim(r)
-    return r
-
-
-def _dense_gcd(a: list[int], b: list[int]) -> list[int]:
-    """Full gcd over Z[x] (content included), positive leading coefficient."""
-    a = _dense_trim(a[:])
-    b = _dense_trim(b[:])
-    if not a:
-        a, b = b, a
-    if not b:
-        if not a:
-            return []
-        return a if a[-1] > 0 else [-c for c in a]
-    ct = math.gcd(_dense_content(a), _dense_content(b))
-    a = _dense_primitive(a)
-    b = _dense_primitive(b)
-    while b:
-        r = _dense_prem(a, b)
-        a, b = b, _dense_primitive(_dense_trim(r))
-    if a[-1] < 0:
-        a = [-c for c in a]
-    return [ct * c for c in a]
 
 
 def _dense_divexact(a: list[int], b: list[int]) -> list[int]:
@@ -373,202 +327,6 @@ def laurent_divexact(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     return LaurentPoly({i + shift: c for i, c in enumerate(qd) if c})
 
 
-def laurent_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Gcd up to units s**k, normalized to minimal exponent 0 and positive lead."""
-    if a.is_zero() and b.is_zero():
-        return _P_ZERO
-    if a.is_zero():
-        return b.shifted(-b.min_exp()) if b.leading_coefficient() > 0 else (-b).shifted(-b.min_exp())
-    if b.is_zero():
-        return a.shifted(-a.min_exp()) if a.leading_coefficient() > 0 else (-a).shifted(-a.min_exp())
-    av = a.min_exp()
-    ad = [0] * (a.max_exp() - av + 1)
-    for e, c in a._terms.items():
-        ad[e - av] = c
-    bv = b.min_exp()
-    bd = [0] * (b.max_exp() - bv + 1)
-    for e, c in b._terms.items():
-        bd[e - bv] = c
-    g = _dense_gcd(ad, bd)
-    return LaurentPoly({i: c for i, c in enumerate(g) if c})
-
-
-# ---------------------------------------------------------------------------
-# RatFunc
-# ---------------------------------------------------------------------------
-
-class RatFunc:
-    """Canonical fraction of two Laurent polynomials, for any denominator.
-
-    Canonical form: numerator and denominator share no nonconstant factor
-    and no integer content, the denominator has minimal exponent 0 (powers
-    of s are shifted into the numerator) and positive leading coefficient.
-    Equality is therefore structural.
-    """
-
-    __slots__ = ("num", "den", "_hash")
-
-    def __init__(self, num=0, den=1):
-        num = _as_poly(num)
-        den = _as_poly(den)
-        if den.is_zero():
-            raise ZeroDivisionError("rational function with zero denominator")
-        num, den = _canonical_pair(num, den)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "_hash", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RatFunc is immutable")
-
-    @classmethod
-    def _raw(cls, num: LaurentPoly, den: LaurentPoly) -> RatFunc:
-        # Bypass canonicalization for inputs already in canonical form.
-        self = object.__new__(cls)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "_hash", None)
-        return self
-
-    # -- inspection
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def __bool__(self) -> bool:
-        return bool(self.num)
-
-    def term_count(self) -> int:
-        return self.num.term_count() + self.den.term_count()
-
-    # -- arithmetic
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (int, LaurentPoly)):
-            other = RatFunc(other)
-        if isinstance(other, RatFunc):
-            return self.num == other.num and self.den == other.den
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash((self.num, self.den))
-            object.__setattr__(self, "_hash", h)
-        return h
-
-    def __add__(self, other):
-        if isinstance(other, (int, LaurentPoly)):
-            other = RatFunc(other)
-        if not isinstance(other, RatFunc):
-            return NotImplemented
-        if self.den == _P_ONE and other.den == _P_ONE:
-            return RatFunc._raw(self.num + other.num, _P_ONE)
-        return RatFunc(self.num * other.den + other.num * self.den,
-                       self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RatFunc._raw(-self.num, self.den)
-
-    def __sub__(self, other):
-        if isinstance(other, (int, LaurentPoly)):
-            other = RatFunc(other)
-        if not isinstance(other, RatFunc):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, LaurentPoly)):
-            other = RatFunc(other)
-        if not isinstance(other, RatFunc):
-            return NotImplemented
-        if self.den == _P_ONE and other.den == _P_ONE:
-            return RatFunc._raw(self.num * other.num, _P_ONE)
-        return RatFunc(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> RatFunc:
-        if self.num.is_zero():
-            raise ZeroDivisionError("inverting the zero rational function")
-        return RatFunc(self.den, self.num)
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, LaurentPoly)):
-            other = RatFunc(other)
-        if not isinstance(other, RatFunc):
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        return RatFunc(other) * self.inverse()
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = RatFunc._raw(_P_ONE, _P_ONE)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
-
-    def evaluate(self, s0: Fraction) -> Fraction:
-        d = self.den.evaluate(s0)
-        if d == 0:
-            raise PoleError(f"denominator vanishes at s = {s0}")
-        return self.num.evaluate(s0) / d
-
-    # -- serialization
-
-    def text(self) -> str:
-        """Canonical text ``"(num)/(den)"``."""
-        return f"({self.num.text()})/({self.den.text()})"
-
-    def __repr__(self) -> str:
-        return f"RatFunc({self.text()!r})"
-
-
-def _canonical_pair(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
-    if num.is_zero():
-        return _P_ZERO, _P_ONE
-    shift = den.min_exp()
-    if shift:
-        den = den.shifted(-shift)
-        num = num.shifted(-shift)
-    if den == _P_ONE:
-        return num, den
-    if den.term_count() == 1:
-        # Denominator is an integer constant: content and sign only.
-        d = den._terms[0]
-        g = math.gcd(num.content(), d)
-        if g > 1:
-            num = LaurentPoly({e: c // g for e, c in num._terms.items()})
-            d //= g
-        if d < 0:
-            num, d = -num, -d
-        return num, LaurentPoly.constant(d)
-    g = laurent_gcd(num, den)
-    if g != _P_ONE:
-        num = laurent_divexact(num, g)
-        den = laurent_divexact(den, g)
-    ct = math.gcd(num.content(), den.content())
-    if ct > 1:
-        num = LaurentPoly({e: c // ct for e, c in num._terms.items()})
-        den = LaurentPoly({e: c // ct for e, c in den._terms.items()})
-    if den.leading_coefficient() < 0:
-        num, den = -num, -den
-    return num, den
-
-
 # ---------------------------------------------------------------------------
 # cyclotomic polynomials and their exact divisibility test
 # ---------------------------------------------------------------------------
@@ -733,9 +491,11 @@ class CycloFrac:
     take exponent maxima, and cancellation is trial division by the few
     Phi_k present -- never a polynomial gcd.  Values are kept reduced: no
     Phi_k with e_k > 0 divides num, and gcd(content(num), c) = 1.  This form
-    is unique, so equality and hashing are structural, and it expands to the
-    canonical RatFunc form term for term.  Dividing by a value whose
-    numerator has a non-cyclotomic factor raises NonCyclotomicError.
+    is unique, so equality and hashing are structural.  The text form is
+    ``"(num)/(den)"`` with den = c * prod Phi_k**e_k expanded, which has
+    minimal exponent 0 and a positive leading coefficient.  Dividing by a
+    value whose numerator has a non-cyclotomic factor raises
+    NonCyclotomicError.
     """
 
     __slots__ = ("num", "c", "den", "_hash")
@@ -765,9 +525,9 @@ class CycloFrac:
 
     # -- conversion and inspection
 
-    def to_ratfunc(self) -> RatFunc:
-        """The same value in canonical RatFunc form (no gcd needed)."""
-        return RatFunc._raw(self.num, _cyclotomic_product(self.den) * self.c)
+    def denominator(self) -> LaurentPoly:
+        """c * prod Phi_k**e_k expanded: minimal exponent 0, positive leading coefficient."""
+        return _cyclotomic_product(self.den) * self.c
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -776,13 +536,17 @@ class CycloFrac:
         return bool(self.num)
 
     def term_count(self) -> int:
-        return self.to_ratfunc().term_count()
+        return self.num.term_count() + self.denominator().term_count()
 
     def evaluate(self, s0: Fraction) -> Fraction:
-        return self.to_ratfunc().evaluate(s0)
+        d = self.denominator().evaluate(s0)
+        if d == 0:
+            raise PoleError(f"denominator vanishes at s = {s0}")
+        return self.num.evaluate(s0) / d
 
     def text(self) -> str:
-        return self.to_ratfunc().text()
+        """Canonical text ``"(num)/(den)"``."""
+        return f"({self.num.text()})/({self.denominator().text()})"
 
     def __repr__(self) -> str:
         return f"CycloFrac({self.text()!r})"
@@ -790,11 +554,9 @@ class CycloFrac:
     # -- arithmetic
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, CycloFrac):
-            return self.num == other.num and self.c == other.c and self.den == other.den
-        if isinstance(other, (int, LaurentPoly, RatFunc)):
-            return self.to_ratfunc() == other
-        return NotImplemented
+        if other.__class__ is not CycloFrac and (other := _lift(other)) is None:
+            return NotImplemented
+        return self.num == other.num and self.c == other.c and self.den == other.den
 
     def __hash__(self) -> int:
         h = self._hash
@@ -967,13 +729,13 @@ def q_factorial(n: int) -> LaurentPoly:
 
 
 @lru_cache(maxsize=None)
-def r_series_coefficient(n: int) -> RatFunc:
+def r_series_coefficient(n: int) -> CycloFrac:
     """Coefficient a_n = (q - q^-1)^n q^(n(n-1)/2) / [n]_q! of the R-matrix series."""
     if n < 0:
         raise ValueError("series coefficient of a negative index")
     qdiff = LaurentPoly({2: 1, -2: -1})
     num = (qdiff ** n).shifted(n * (n - 1))
-    return RatFunc(num, q_factorial(n))
+    return CycloFrac(num, q_factorial(n))
 
 
 # ---------------------------------------------------------------------------
@@ -989,9 +751,9 @@ def check_admissible_point(s0: Fraction) -> Fraction:
 
 
 def evaluate_scalar(x, s0: Fraction) -> Fraction:
-    """Exact value of a LaurentPoly, RatFunc or CycloFrac at an admissible rational point."""
+    """Exact value of a LaurentPoly or CycloFrac at an admissible rational point."""
     s0 = check_admissible_point(s0)
-    if isinstance(x, (LaurentPoly, RatFunc, CycloFrac)):
+    if isinstance(x, (LaurentPoly, CycloFrac)):
         return x.evaluate(s0)
     raise TypeError(f"cannot evaluate {x!r}")
 
@@ -1063,7 +825,7 @@ class ScalarDomain:
 
     def series_coeff(self, n: int):
         a = r_series_coefficient(n)
-        return self.from_ratio(a.num, a.den)
+        return self.from_ratio(a.num, a.denominator())
 
     def describe(self) -> str:
         raise NotImplementedError

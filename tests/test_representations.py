@@ -17,7 +17,7 @@ from qaw.representations import (ExactMatrix, InternalMismatchError,
                                  r_matrix_inverse, r_series_term, r_tilde,
                                  r_tilde_inverse, represent, spin_module,
                                  tensor_context)
-from qaw.scalars import SYMBOLIC, PointDomain, RatFunc, ResidueDomain, q_integer
+from qaw.scalars import SYMBOLIC, CycloFrac, PointDomain, ResidueDomain, q_integer
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -63,10 +63,10 @@ class TestSpinModule:
     def test_spin_one_entries(self):
         # E carries [1]_q and [2]_q on the superdiagonal, per the weight action.
         mod = spin_module(2, D)
-        assert mod.e.entry(0, 1) == RatFunc(q_integer(1))
-        assert mod.e.entry(1, 2) == RatFunc(q_integer(2))
-        assert mod.f.entry(1, 0) == RatFunc(q_integer(2))
-        assert mod.f.entry(2, 1) == RatFunc(q_integer(1))
+        assert mod.e.entry(0, 1) == CycloFrac(q_integer(1))
+        assert mod.e.entry(1, 2) == CycloFrac(q_integer(2))
+        assert mod.f.entry(1, 0) == CycloFrac(q_integer(2))
+        assert mod.f.entry(2, 1) == CycloFrac(q_integer(1))
         assert mod.k == ExactMatrix.diagonal([D.s(2), D.s(0), D.s(-2)])
 
     def test_defining_relations_all_sizes(self):

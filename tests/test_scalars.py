@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,11 +6,11 @@ import pytest
 
 from qaw.scalars import (RESIDUE_PRIME, SYMBOLIC, CycloFrac,
                          ForbiddenPointError, LaurentPoly, NonCyclotomicError,
-                         PointDomain, PoleError, RatFunc, ResidueDomain,
+                         PointDomain, PoleError, ResidueDomain,
                          cyclotomic, evaluate_scalar, laurent_divexact,
-                         laurent_gcd, q_factorial, q_integer,
+                         q_factorial, q_integer,
                          r_series_coefficient, random_admissible_point)
-from qaw.scalars import _root_table
+from qaw.scalars import _divide_cyclotomic, _root_table
 
 
 def P(terms):
@@ -69,71 +70,13 @@ class TestLaurentPoly:
             assert a + zero == a
             assert a * one == a
 
-    def test_divexact_and_gcd(self):
+    def test_divexact(self):
         a = P({2: 1, -2: -1})  # q - q^-1 in s
         b = P({0: 1, -2: 1})
         prod = a * b
         assert laurent_divexact(prod, a) == b
-        g = laurent_gcd(prod, a * P({4: 2}))
-        # gcd is defined up to s^k; canonical form has min exponent 0.
-        assert g.min_exp() == 0
-        assert laurent_divexact(a.shifted(-a.min_exp()), g).term_count() >= 1
-
-
-class TestRatFunc:
-    def test_inverse_pair(self):
-        x = RatFunc(1, P({2: 1, 0: 1}))
-        assert x * RatFunc(P({2: 1, 0: 1})) == RatFunc(1)
-
-    def test_zero_identity(self):
-        x = RatFunc(P({3: 2, -1: 5}), P({0: 7, 2: 1}))
-        assert RatFunc(0) + x == x
-
-    def test_invert_q_minus_qinv(self):
-        # 1/(q - q^-1) canonicalizes to s^2/(s^4 - 1).
-        x = RatFunc(P({2: 1, -2: -1})).inverse()
-        assert x.num == P({2: 1})
-        assert x.den == P({4: 1, 0: -1})
-        assert x.den.leading_coefficient() > 0
-        assert x.den.min_exp() == 0
-
-    def test_invert_zero_raises(self):
-        with pytest.raises(ZeroDivisionError):
-            RatFunc(0).inverse()
-
-    def test_equality_cross_multiplication(self):
-        a = RatFunc(P({2: 2}), P({0: 2, 2: 4}))
-        b = RatFunc(P({2: 1}), P({0: 1, 2: 2}))
-        assert a == b
-        assert a.num * b.den == b.num * a.den
-
-    def test_canonical_reduction(self):
-        common = P({2: 3, 0: 1})
-        x = RatFunc(common * P({1: 1}), common * P({0: 2, 4: 2}))
-        assert laurent_gcd(x.num, x.den).term_count() == 1
-        assert x.den.min_exp() == 0
-        assert x.den.leading_coefficient() > 0
-
-    def test_field_laws_random(self):
-        rng = random.Random(11)
-
-        def rand_rf():
-            num = LaurentPoly({rng.randint(-3, 3): rng.randint(-5, 5)
-                               for _ in range(rng.randint(0, 3))})
-            den = LaurentPoly({rng.randint(-2, 2): rng.randint(1, 4)
-                               for _ in range(rng.randint(1, 2))})
-            return RatFunc(num, den)
-
-        for _ in range(60):
-            a, b, c = rand_rf(), rand_rf(), rand_rf()
-            assert (a + b) * c == a * c + b * c
-            assert a - a == RatFunc(0)
-            if b:
-                assert (a / b) * b == a
-
-    def test_text(self):
-        x = RatFunc(P({-2: 3, 4: 1}), P({0: 2}))
-        assert x.text() == "(3*s^-2 + 1*s^4)/(2*s^0)"
+        with pytest.raises(ArithmeticError):
+            laurent_divexact(prod + 1, a)
 
 
 class TestCycloFrac:
@@ -153,29 +96,41 @@ class TestCycloFrac:
         else:
             num = LaurentPoly({rng.randint(-6, 6): rng.randint(-9, 9)
                                for _ in range(rng.randint(0, 4))})
-        den = self._cyclotomic_poly(rng)
-        return CycloFrac(num, den), RatFunc(num, den)
+        return CycloFrac(num, self._cyclotomic_poly(rng))
 
-    def test_matches_ratfunc(self):
-        # RatFunc (gcd canonicalization) is the reference for every operation.
+    @staticmethod
+    def _assert_reduced(r, num, den):
+        """r equals num/den, and r is in its unique reduced form."""
+        assert r.num * den == num * r.denominator()
+        assert r.c > 0
+        assert [k for k, _ in r.den] == sorted({k for k, _ in r.den})
+        assert all(e > 0 for _, e in r.den)
+        assert all(_divide_cyclotomic(r.num, k) is None for k, _ in r.den)
+        assert math.gcd(r.num.content(), r.c) == 1
+
+    def test_matches_textbook_fractions(self):
+        # Each result, cross-multiplied, equals the fraction built from the
+        # operands' numerators and denominators with LaurentPoly arithmetic.
         rng = random.Random(5)
         for _ in range(300):
-            a, ra = self._pair(rng)
-            b, rb = self._pair(rng)
-            unit, runit = self._pair(rng, cyclotomic_num=True)
+            a, b = self._pair(rng), self._pair(rng)
+            unit = self._pair(rng, cyclotomic_num=True)
             n = rng.randint(-3, 3)
-            assert (a + b).text() == (ra + rb).text()
-            assert (a - b).text() == (ra - rb).text()
-            assert (a * b).text() == (ra * rb).text()
-            assert (a / unit).text() == (ra / runit).text()
-            assert (a ** abs(n)).text() == (ra ** abs(n)).text()
-            assert (unit ** n).text() == (runit ** n).text()
-            assert a * b == ra * rb
+            da, db, du = a.denominator(), b.denominator(), unit.denominator()
+            self._assert_reduced(a + b, a.num * db + b.num * da, da * db)
+            self._assert_reduced(a - b, a.num * db - b.num * da, da * db)
+            self._assert_reduced(a * b, a.num * b.num, da * db)
+            self._assert_reduced(a / unit, a.num * du, da * unit.num)
+            self._assert_reduced(a ** abs(n), a.num ** abs(n), da ** abs(n))
+            if n >= 0:
+                self._assert_reduced(unit ** n, unit.num ** n, du ** n)
+            else:
+                self._assert_reduced(unit ** n, du ** -n, unit.num ** -n)
 
     def test_reduced_form(self):
         x = SYMBOLIC.one / (SYMBOLIC.q(1) - SYMBOLIC.q(-1))
         assert (x.num, x.c, x.den) == (P({2: 1}), 1, ((1, 1), (2, 1), (4, 1)))
-        assert x == RatFunc(self.QDIFF).inverse()
+        assert x == CycloFrac(1, self.QDIFF)
         assert x * SYMBOLIC.from_laurent(self.QDIFF) == SYMBOLIC.one
         assert CycloFrac(P({0: 4}), P({0: 6})).text() == "(2*s^0)/(3*s^0)"
 
@@ -184,7 +139,58 @@ class TestCycloFrac:
         p = _root_table(1)[0]
         x = CycloFrac(P({0: p, 1: p}), P({1: 1, 0: -1}))
         assert x.den == ((1, 1),)
-        assert x.text() == RatFunc(P({0: p, 1: p}), P({1: 1, 0: -1})).text()
+        assert x.text() == f"({p}*s^0 + {p}*s^1)/(-1*s^0 + 1*s^1)"
+
+    def test_inverse_pair(self):
+        x = CycloFrac(1, P({2: 1, 0: 1}))
+        assert x * CycloFrac(P({2: 1, 0: 1})) == CycloFrac(1)
+
+    def test_zero_identity(self):
+        x = CycloFrac(P({3: 2, -1: 5}), P({0: 7, 2: 7}))
+        assert CycloFrac(0) + x == x
+
+    def test_invert_q_minus_qinv(self):
+        # 1/(q - q^-1) = s^2/(s^4 - 1): minimal exponent 0, positive lead.
+        x = CycloFrac(self.QDIFF).inverse()
+        assert x.num == P({2: 1})
+        assert x.denominator() == P({4: 1, 0: -1})
+
+    def test_invert_zero_raises(self):
+        with pytest.raises(ZeroDivisionError):
+            CycloFrac(0).inverse()
+
+    def test_equality_cross_multiplication(self):
+        a = CycloFrac(P({2: 2}), P({0: 2, 4: 2}))
+        b = CycloFrac(P({2: 1}), P({0: 1, 4: 1}))
+        assert a == b
+        assert a.num * b.denominator() == b.num * a.denominator()
+
+    def test_equality_with_int_and_laurent(self):
+        assert CycloFrac(P({0: 6}), P({0: 2})) == 3 == CycloFrac(3)
+        assert CycloFrac(P({2: 1, -2: -1})) == P({2: 1, -2: -1})
+        assert SYMBOLIC.one == 1 and SYMBOLIC.zero == 0 and SYMBOLIC.q(1) == P({2: 1})
+        half = CycloFrac(1, 2)
+        assert (half.c, half.den) == (2, ())
+        assert half != 0 and half != 1 and half != P({0: 1})
+        assert half * 2 == 1
+        y = CycloFrac(2, P({0: 1, 2: 1}))  # 2/(1 + s^2)
+        assert y.den == ((4, 1),)
+        assert y != 2 and y != 1 and y != P({0: 2})
+        assert y * P({0: 1, 2: 1}) == 2
+        assert CycloFrac(P({1: 1})) != P({-1: 1}) and CycloFrac(1) != "1"
+
+    def test_field_laws_random(self):
+        rng = random.Random(11)
+        for _ in range(60):
+            a, b, c = self._pair(rng), self._pair(rng), self._pair(rng)
+            unit = self._pair(rng, cyclotomic_num=True)
+            assert (a + b) * c == a * c + b * c
+            assert a - a == CycloFrac(0)
+            assert (a / unit) * unit == a
+
+    def test_text(self):
+        x = CycloFrac(P({-2: 3, 4: 1}), P({0: 2}))
+        assert x.text() == "(3*s^-2 + 1*s^4)/(2*s^0)"
 
     def test_non_cyclotomic_division_raises(self):
         bad = SYMBOLIC.from_laurent(P({0: 1, 1: 2}))
@@ -224,24 +230,24 @@ class TestQNumbers:
             q_factorial(-1)
 
     def test_series_coefficient_base(self):
-        assert r_series_coefficient(0) == RatFunc(1)
-        assert r_series_coefficient(1) == RatFunc(P({2: 1, -2: -1}))
+        assert r_series_coefficient(0) == CycloFrac(1)
+        assert r_series_coefficient(1) == CycloFrac(P({2: 1, -2: -1}))
 
     def test_series_coefficient_recurrence(self):
         # a_{n+1} [n+1]_q = q^n (q - q^-1) a_n
-        qdiff = RatFunc(P({2: 1, -2: -1}))
+        qdiff = CycloFrac(P({2: 1, -2: -1}))
         for n in range(11):
-            lhs = r_series_coefficient(n + 1) * RatFunc(q_integer(n + 1))
-            rhs = RatFunc(LaurentPoly.q_power(n)) * qdiff * r_series_coefficient(n)
+            lhs = r_series_coefficient(n + 1) * CycloFrac(q_integer(n + 1))
+            rhs = CycloFrac(LaurentPoly.q_power(n)) * qdiff * r_series_coefficient(n)
             assert lhs == rhs
 
     def test_series_coefficient_shift_identity(self):
         # a_n q^-2n = a_n - a_n [n]_q q^-n (q - q^-1)
-        qdiff = RatFunc(P({2: 1, -2: -1}))
+        qdiff = CycloFrac(P({2: 1, -2: -1}))
         for n in range(11):
             an = r_series_coefficient(n)
-            lhs = an * RatFunc(LaurentPoly.q_power(-2 * n))
-            rhs = an - an * RatFunc(q_integer(n)) * RatFunc(LaurentPoly.q_power(-n)) * qdiff
+            lhs = an * CycloFrac(LaurentPoly.q_power(-2 * n))
+            rhs = an - an * CycloFrac(q_integer(n)) * CycloFrac(LaurentPoly.q_power(-n)) * qdiff
             assert lhs == rhs
 
 
@@ -249,27 +255,27 @@ class TestEvaluation:
     def test_forbidden_points(self):
         for bad in (0, 1, -1):
             with pytest.raises(ForbiddenPointError):
-                evaluate_scalar(RatFunc(q_integer(3)), Fraction(bad))
+                evaluate_scalar(CycloFrac(q_integer(3)), Fraction(bad))
 
     def test_substitution(self):
         assert evaluate_scalar(q_integer(2), Fraction(2)) == Fraction(17, 4)
         assert evaluate_scalar(r_series_coefficient(1), Fraction(2)) == Fraction(15, 4)
 
     def test_pole(self):
-        x = RatFunc(1, P({1: 1, 0: -2}))  # pole at s = 2
+        x = CycloFrac(1, P({1: 1, 0: -1}))  # pole at s = 1
         with pytest.raises(PoleError):
-            evaluate_scalar(x, Fraction(2))
+            x.evaluate(Fraction(1))
 
     def test_ring_homomorphism(self):
         rng = random.Random(3)
         s0 = Fraction(3, 2)
         for _ in range(40):
-            a = RatFunc(LaurentPoly({rng.randint(-3, 3): rng.randint(-5, 5)
-                                     for _ in range(2)}),
-                        LaurentPoly({0: 1, rng.randint(1, 3): rng.randint(1, 3)}))
-            b = RatFunc(LaurentPoly({rng.randint(-3, 3): rng.randint(-5, 5)
-                                     for _ in range(2)}),
-                        LaurentPoly({0: 2}))
+            a = CycloFrac(LaurentPoly({rng.randint(-3, 3): rng.randint(-5, 5)
+                                       for _ in range(2)}),
+                          q_integer(rng.randint(1, 4)) * rng.randint(1, 3))
+            b = CycloFrac(LaurentPoly({rng.randint(-3, 3): rng.randint(-5, 5)
+                                       for _ in range(2)}),
+                          LaurentPoly({0: 2}))
             assert evaluate_scalar(a * b, s0) == \
                 evaluate_scalar(a, s0) * evaluate_scalar(b, s0)
             assert evaluate_scalar(a + b, s0) == \
@@ -287,10 +293,11 @@ class TestEvaluation:
 class TestDomains:
     def test_symbolic_and_point_agree(self):
         s0 = Fraction(5, 3)
-        pt = PointDomain(s0)
+        pt, res = PointDomain(s0), ResidueDomain(s0)
         for n in range(8):
             assert SYMBOLIC.q_int(n).evaluate(s0) == pt.q_int(n)
             assert SYMBOLIC.series_coeff(n).evaluate(s0) == pt.series_coeff(n)
+            assert res.series_coeff(n).v == _mod_p(pt.series_coeff(n))
         assert SYMBOLIC.s(3).evaluate(s0) == pt.s(3)
 
     def test_point_domain_rejects_forbidden(self):
@@ -322,10 +329,10 @@ class TestResidueDomain:
             res, pt = ResidueDomain(s0), PointDomain(s0)
             for _ in range(40):
                 values = []
-                for x in (gen._pair(rng)[0], gen._pair(rng)[0],
-                          gen._pair(rng, cyclotomic_num=True)[0]):
-                    r = x.to_ratfunc()
-                    values.append((res.from_ratio(r.num, r.den), pt.from_ratio(r.num, r.den)))
+                for x in (gen._pair(rng), gen._pair(rng),
+                          gen._pair(rng, cyclotomic_num=True)):
+                    num, den = x.num, x.denominator()
+                    values.append((res.from_ratio(num, den), pt.from_ratio(num, den)))
                     assert values[-1][0].v == _mod_p(values[-1][1])
                 (a, fa), (b, fb), (u, fu) = values
                 poly = LaurentPoly({rng.randint(-6, 6): rng.randint(-9, 9) for _ in range(4)})
