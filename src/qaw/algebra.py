@@ -23,10 +23,11 @@ notation C_12, C_13, R_23 for tensor-leg placement.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from typing import Iterable, NamedTuple
 
-from .scalars import ScalarDomain, domain_memo
+from .scalars import ScalarDomain, add_into, domain_memo
 
 
 class ArityMismatchError(ValueError):
@@ -113,13 +114,7 @@ class TensorElement:
             return NotImplemented
         self._check_compatible(other)
         out = dict(self._terms)
-        for key, c in other._terms.items():
-            v = out.get(key)
-            v = c if v is None else v + c
-            if v:
-                out[key] = v
-            elif key in out:
-                del out[key]
+        add_into(out, other._terms.items())
         return TensorElement(self.domain, self.arity, out)
 
     def __neg__(self):
@@ -241,33 +236,17 @@ def _ef_terms(domain: ScalarDomain, e_pow: int, f_pow: int):
     if e_pow == 0 or f_pow == 0:
         return ((PBWMonomial(f_pow, e_pow, 0), domain.one),)
     prev = _ef_terms(domain, e_pow - 1, f_pow)
-    acc: dict[PBWMonomial, object] = {}
     # E^(e-1) * (F^a E): append E on the right of each normal-form term.
-    for mono, c in prev:
-        key = PBWMonomial(mono.f, mono.e + 1, mono.k)
-        v = c * domain.q(mono.k)
-        old = acc.get(key)
-        v = v if old is None else old + v
-        if v:
-            acc[key] = v
-        elif key in acc:
-            del acc[key]
+    acc = {PBWMonomial(mono.f, mono.e + 1, mono.k): c * domain.q(mono.k)
+           for mono, c in prev}
     # E^(e-1) * [a] F^(a-1) (q^(1-a) K^2 - q^(a-1) K^-2)/(q - q^-1).
     a = f_pow
     qdiff = domain.q(1) - domain.q(-1)
     plus = domain.q_int(a) * domain.q(1 - a) / qdiff
     minus = domain.q_int(a) * domain.q(a - 1) / qdiff
     lower = _ef_terms(domain, e_pow - 1, f_pow - 1)
-    for mono, c in lower:
-        for dk, w in ((2, plus), (-2, -minus)):
-            key = PBWMonomial(mono.f, mono.e, mono.k + dk)
-            v = c * w
-            old = acc.get(key)
-            v = v if old is None else old + v
-            if v:
-                acc[key] = v
-            elif key in acc:
-                del acc[key]
+    add_into(acc, ((PBWMonomial(mono.f, mono.e, mono.k + dk), c * w)
+                   for mono, c in lower for dk, w in ((2, plus), (-2, -minus))))
     return tuple(sorted(acc.items(), key=lambda kv: kv[0]))
 
 
@@ -297,20 +276,12 @@ def normal_order_mul(x: TensorElement, y: TensorElement) -> TensorElement:
             base = c1 * c2
             if not base:
                 continue
-            factors = [_mono_mul(domain, a, b) for a, b in zip(k1, k2)]
-            for combo in itertools.product(*factors):
-                coeff = base
-                for _, w in combo:
-                    coeff = coeff * w
-                if not coeff:
-                    continue
-                key = tuple(m for m, _ in combo)
-                old = acc.get(key)
-                coeff = coeff if old is None else old + coeff
-                if coeff:
-                    acc[key] = coeff
-                elif key in acc:
-                    del acc[key]
+            terms = []
+            for combo in itertools.product(*[_mono_mul(domain, a, b)
+                                             for a, b in zip(k1, k2)]):
+                key, weights = zip(*combo)
+                terms.append((key, math.prod(weights, start=base)))
+            add_into(acc, terms)
     return TensorElement(domain, x.arity, acc)
 
 
@@ -383,10 +354,7 @@ def coproduct(x: TensorElement) -> TensorElement:
     """
     if x.arity != 1:
         raise ArityMismatchError("coproduct takes a single-leg element")
-    out = zero_element(x.domain, 2)
-    for (mono,), c in x._terms.items():
-        out = out + _coproduct_mono(x.domain, mono).scale(c)
-    return out
+    return coproduct_on_leg(x, 1)
 
 
 def coproduct_op(x: TensorElement) -> TensorElement:
@@ -403,18 +371,9 @@ def coproduct_on_leg(x: TensorElement, leg: int) -> TensorElement:
     i = leg - 1
     out: dict[tuple[PBWMonomial, ...], object] = {}
     for key, c in x._terms.items():
-        expanded = _coproduct_mono(x.domain, key[i])
-        for pair, w in expanded._terms.items():
-            coeff = c * w
-            if not coeff:
-                continue
-            new_key = key[:i] + pair + key[i + 1:]
-            old = out.get(new_key)
-            coeff = coeff if old is None else old + coeff
-            if coeff:
-                out[new_key] = coeff
-            elif new_key in out:
-                del out[new_key]
+        head, tail = key[:i], key[i + 1:]
+        add_into(out, ((head + pair + tail, w)
+                       for pair, w in _coproduct_mono(x.domain, key[i]).items()), c)
     return TensorElement(x.domain, x.arity + 1, out)
 
 
@@ -448,6 +407,13 @@ def extend_coproduct(x: TensorElement, legs: Iterable[int], arity: int) -> Tenso
 # the q-commutator and the coaction closed forms
 # ---------------------------------------------------------------------------
 
+def q_bracket(xy, yx, kx, ky):
+    """kx xy - ky yx from the products xy and yx (tensor elements or
+    matrices): the q-commutator [x, y]_q for (kx, ky) = (q, 1/q), the
+    reversed convention for (1/q, q)."""
+    return xy.scale(kx) - yx.scale(ky)
+
+
 def q_commutator(x: TensorElement, y: TensorElement) -> TensorElement:
     """[x, y]_q = q x y - q^-1 y x.
 
@@ -457,8 +423,7 @@ def q_commutator(x: TensorElement, y: TensorElement) -> TensorElement:
     suite keeps the rejected alternative as a negative check).
     """
     x._check_compatible(y)
-    d = x.domain
-    return (x * y).scale(d.q(1)) - (y * x).scale(d.q(-1))
+    return q_bracket(x * y, y * x, x.domain.q(1), x.domain.q(-1))
 
 
 def tau_argument_elements(domain: ScalarDomain) -> dict[str, TensorElement]:

@@ -94,7 +94,6 @@ class RunConfig:
     mode: str = "exact"
     eval_points: int = 20
     rng_seed: int = 0
-    output: str = "text"
     output_path: str | None = None
     verbose: bool = False
     negative_control: bool = False
@@ -621,11 +620,6 @@ def _bracket_calibration(name: str, params: dict, chosen, rejected,
     )
 
 
-def _q_bracket(xy, yx, kx, ky):
-    """kx xy - ky yx: the q-commutator [x, y]_q for (kx, ky) = (q, 1/q)."""
-    return xy.scale(kx) - yx.scale(ky)
-
-
 # (x, y, z, a, b, c, d): [x, y]_q / (q - 1/q) = z + a b + c d.
 _AW3_RELATIONS = (
     ("C12", "C23", "C13_0", "C1", "C3", "C2", "C123"),
@@ -654,7 +648,7 @@ def check_aw3(ctx: TensorContext, store: RunStore | None = None) -> list[CheckRe
     def difference(relation, reverse=False):
         x, y, z, a, b, c, d = relation
         kx, ky = (qm, qp) if reverse else (qp, qm)
-        lhs = _q_bracket(prod(x, y), prod(y, x), kx, ky).scale(inv_qdiff)
+        lhs = alg.q_bracket(prod(x, y), prod(y, x), kx, ky).scale(inv_qdiff)
         return lhs - (store.low(z) + prod(a, b) + prod(c, d))
 
     # The premises are shared setup, built before the first check's clock.
@@ -685,19 +679,19 @@ def check_aw3_symbolic(domain: ScalarDomain) -> list[CheckResult]:
     c2 = alg.extend_coproduct(c, (2,), 3)
     c3 = alg.extend_coproduct(c, (3,), 3)
     c123 = alg.extend_coproduct(c, (1, 2, 3), 3)
-    inv_qdiff = domain.one / (domain.q(1) - domain.q(-1))
+    qp, qm = domain.q(1), domain.q(-1)
+    inv_qdiff = domain.one / (qp - qm)
     rhs = alg.c13_zero_symbolic(domain) + c1 * c3 + c2 * c123
     out = []
 
     t0 = time.perf_counter_ns()
-    lhs = alg.q_commutator(c12, c23).scale(inv_qdiff)
+    xy, yx = c12 * c23, c23 * c12
+    lhs = alg.q_bracket(xy, yx, qp, qm).scale(inv_qdiff)
     out.append(_make_result("aw3-symbolic.relation[C12,C23]",
                             _params(domain), [lhs - rhs], t0))
 
     t0 = time.perf_counter_ns()
-    d = domain
-    reversed_bracket = ((c12 * c23).scale(d.q(-1))
-                        - (c23 * c12).scale(d.q(1))).scale(inv_qdiff)
+    reversed_bracket = alg.q_bracket(xy, yx, qm, qp).scale(inv_qdiff)
     out.append(_bracket_calibration("aw3-symbolic.bracket_calibration", _params(domain),
                                     lhs - rhs, reversed_bracket - rhs, t0))
     return out
@@ -747,6 +741,8 @@ _SUITE_ARITY = {"structure": 3, "rmatrix": 3, "theorem": 3, "tau": 2,
 def validate_config(name: str, config: RunConfig):
     if name not in SUITE_NAMES:
         raise UnknownSuiteError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
+    if name != config.suite:
+        raise ConfigurationError(f"suite {name!r} run with a config for {config.suite!r}")
     if config.mode not in ("exact", "eval"):
         raise ConfigurationError(f"unknown mode {config.mode!r}")
     if config.mode == "eval" and config.eval_points < 1:
@@ -837,7 +833,7 @@ def _run_point(name: str, config: RunConfig, s0,
     A group with a failed check is run again at s0 over Q, and its results
     replace the residue results (their runtimes add up), so every witness
     is an exact rational one.  A denominator that is 0 mod P runs the whole
-    point over Q; a PoleError there propagates, and the caller resamples.
+    point over Q.
     """
     try:
         groups = _run_at(ResidueDomain(s0), name, config, setup=setup)
@@ -932,10 +928,7 @@ def run_suite(name: str, config: RunConfig) -> SuiteReport:
             if s0 in used:
                 continue
             used.add(s0)
-            try:
-                runs.append((f"s={s0}", _run_point(name, config, s0, setup)))
-            except PoleError:
-                continue
+            runs.append((f"s={s0}", _run_point(name, config, s0, setup)))
         results = _merge_eval(runs, config)
     results.extend(_consistency_extras(results))
     results.sort(key=lambda r: r.name)

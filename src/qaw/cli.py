@@ -62,7 +62,6 @@ def parse_args(argv=None) -> RunConfig:
         mode=ns.mode,
         eval_points=ns.points,
         rng_seed=ns.seed,
-        output="json" if ns.json else "text",
         output_path=ns.json,
         verbose=ns.verbose,
         negative_control=ns.negative_control,

@@ -15,6 +15,10 @@ the flat index of (i_1, ..., i_n) is sum(i_k * strides[k]).  The operator
 q^(2 H@H) used by the R-matrix exists only here, as the diagonal with entry
 s^(4 m_a m_b) on the weight pair (m_a, m_b).
 
+An ExactMatrix stores no zero entry: its sums, including those in
+``represent``, go through ``scalars.add_into``, which deletes the entries
+that cancel, and its product kernel inlines that rule.
+
 Spin modules, tensor contexts, R-matrix cores, the split R and monomial
 matrices are memoised in their scalar domain (``scalars.domain_memo``) and
 live as long as it.
@@ -28,7 +32,7 @@ from functools import reduce
 from .algebra import (ArityMismatchError, PBWMonomial, TensorElement,
                       casimir, coproduct, extend_coproduct, generator,
                       pbw_element)
-from .scalars import ScalarDomain, LaurentPoly, domain_memo
+from .scalars import ScalarDomain, LaurentPoly, add_into, domain_memo
 
 
 class InternalMismatchError(RuntimeError):
@@ -41,13 +45,8 @@ class ExactMatrix:
     __slots__ = ("dim", "_entries")
 
     def __init__(self, dim: int, entries: dict[tuple[int, int], object] | None = None):
-        e = {}
-        if entries:
-            for rc, v in entries.items():
-                if v:
-                    e[rc] = v
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "_entries", e)
+        object.__setattr__(self, "_entries", {rc: v for rc, v in (entries or {}).items() if v})
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactMatrix is immutable")
@@ -55,8 +54,9 @@ class ExactMatrix:
     @classmethod
     def _raw(cls, dim: int, entries: dict[tuple[int, int], object]) -> ExactMatrix:
         # Adopt an entry map that already holds no zero entries, uncopied.
-        # Callers copy a map they deleted cancelled entries from first: the
-        # copy drops the dead slots, which a kept result would hold for a run.
+        # A map that scalars.add_into (or the product kernel) deleted a
+        # cancelled entry from is copied first, as its flag tells: the copy
+        # drops the dead slots, which a kept result would hold for a run.
         self = object.__new__(cls)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "_entries", entries)
@@ -105,7 +105,7 @@ class ExactMatrix:
             return NotImplemented
         self._check_dim(other)
         out = dict(self._entries)
-        return ExactMatrix._raw(self.dim, dict(out) if _add_into(out, other) else out)
+        return ExactMatrix._raw(self.dim, dict(out) if add_into(out, other.items()) else out)
 
     def __neg__(self):
         return ExactMatrix._raw(self.dim, {rc: -v for rc, v in self._entries.items()})
@@ -118,16 +118,8 @@ class ExactMatrix:
             # Equal values have a zero difference; a passing residual costs
             # one comparison.
             return ExactMatrix._raw(self.dim, {})
-        deleted = False
         out = dict(self._entries)
-        for rc, v in other._entries.items():
-            w = out.get(rc)
-            w = -v if w is None else w - v
-            if w:
-                out[rc] = w
-            elif rc in out:
-                del out[rc]
-                deleted = True
+        deleted = add_into(out, ((rc, -v) for rc, v in other._entries.items()))
         return ExactMatrix._raw(self.dim, dict(out) if deleted else out)
 
     def scale(self, c) -> ExactMatrix:
@@ -190,23 +182,6 @@ class ExactMatrix:
     def _check_dim(self, other: ExactMatrix):
         if self.dim != other.dim:
             raise ArityMismatchError(f"dimension mismatch: {self.dim} vs {other.dim}")
-
-
-def _add_into(acc: dict, mat: ExactMatrix, coeff=None) -> bool:
-    """Add coeff * mat (mat if coeff is None) into the entry map acc,
-    deleting cancelled entries; returns whether one was deleted."""
-    deleted = False
-    for rc, v in mat.items():
-        if coeff is not None:
-            v = coeff * v
-        old = acc.get(rc)
-        w = v if old is None else old + v
-        if w:
-            acc[rc] = w
-        elif old is not None:
-            del acc[rc]
-            deleted = True
-    return deleted
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +310,7 @@ def sum_by_prefix(x: TensorElement, last: SpinModule) -> dict[tuple, ExactMatrix
     c u@w; prefixes whose sum cancels are left out."""
     sums: dict[tuple, dict] = {}
     for key, coeff in x.items():
-        _add_into(sums.setdefault(key[:-1], {}), last.monomial(key[-1]), coeff)
+        add_into(sums.setdefault(key[:-1], {}), last.monomial(key[-1]).items(), coeff)
     return {u: ExactMatrix(last.dim, acc) for u, acc in sums.items() if acc}
 
 
@@ -354,7 +329,7 @@ def represent(x: TensorElement, ctx: TensorContext) -> ExactMatrix:
     acc: dict[tuple[int, int], object] = {}
     deleted = False
     for u, tail in sum_by_prefix(x, ctx.modules[-1]).items():
-        deleted |= _add_into(acc, ctx.monomial_matrix(u).kron(tail) if u else tail)
+        deleted |= add_into(acc, (ctx.monomial_matrix(u).kron(tail) if u else tail).items())
     return ExactMatrix._raw(ctx.total_dim, dict(acc) if deleted else acc)
 
 

@@ -97,6 +97,33 @@ def _dense_divexact(a: list[int], b: list[int]) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
+# sparse term maps
+# ---------------------------------------------------------------------------
+
+def add_into(acc: dict, items, coeff=None) -> bool:
+    """Add coeff * v (v if coeff is None) for each (key, v) of items into the
+    map acc and delete each key whose sum cancels; True if one was deleted.
+
+    Every sparse map (Laurent terms, PBW terms, matrix entries) stays
+    zero-free through this rule.  The product kernels LaurentPoly.__mul__ and
+    ExactMatrix.__mul__ inline it: they are the measured hot loops of an
+    exact run, where a call per term shows.
+    """
+    deleted = False
+    for key, v in items:
+        if coeff is not None:
+            v = coeff * v
+        old = acc.get(key)
+        w = v if old is None else old + v
+        if w:
+            acc[key] = w
+        elif old is not None:
+            del acc[key]
+            deleted = True
+    return deleted
+
+
+# ---------------------------------------------------------------------------
 # LaurentPoly
 # ---------------------------------------------------------------------------
 
@@ -110,12 +137,7 @@ class LaurentPoly:
     __slots__ = ("_terms", "_hash")
 
     def __init__(self, terms: dict[int, int] | None = None):
-        t: dict[int, int] = {}
-        if terms:
-            for e, c in terms.items():
-                if c:
-                    t[e] = c
-        object.__setattr__(self, "_terms", t)
+        object.__setattr__(self, "_terms", {e: c for e, c in (terms or {}).items() if c})
         object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
@@ -207,12 +229,7 @@ class LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         out = dict(self._terms)
-        for e, c in other._terms.items():
-            v = out.get(e, 0) + c
-            if v:
-                out[e] = v
-            elif e in out:
-                del out[e]
+        add_into(out, other._terms.items())
         return LaurentPoly._raw(out)
 
     __radd__ = __add__

@@ -90,6 +90,13 @@ class TestRunSuite:
         with pytest.raises(ConfigurationError):
             run_suite("all", RunConfig(suite="all", spins=(-1, 1, 1)))
 
+    def test_suite_name_must_match_config(self):
+        # A report names the suite it ran and the config it ran under.
+        with pytest.raises(ConfigurationError):
+            run_suite("aw3-symbolic", RunConfig(suite="aw4", spins=(1, 1, 1)))
+        with pytest.raises(ConfigurationError):
+            run_suite("aw3", RunConfig(spins=(1, 1, 1)))
+
     def test_eval_points_validation(self):
         with pytest.raises(ConfigurationError):
             run_suite("aw3", RunConfig(suite="aw3", mode="eval", eval_points=0))
@@ -508,7 +515,7 @@ class TestLegCertificates:
         gc.collect()
         gc.disable()
         try:
-            report = run_suite("aw3", RunConfig(spins=(1, 1, 1)))
+            report = run_suite("aw3", RunConfig(suite="aw3", spins=(1, 1, 1)))
         finally:
             gc.enable()
         assert report.passed

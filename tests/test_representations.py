@@ -6,9 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from qaw.algebra import (ArityMismatchError, casimir, coproduct, coproduct_op,
-                         extend_coproduct, generator, pbw_element,
-                         random_element, unit_element)
+from qaw.algebra import (ArityMismatchError, PBWMonomial, TensorElement, casimir,
+                         coproduct, coproduct_on_leg, coproduct_op,
+                         extend_coproduct, generator, normal_order_mul,
+                         pbw_element, random_element, unit_element)
 from qaw.representations import (ExactMatrix, InternalMismatchError,
                                  casimir_scalar_highest_weight,
                                  coproduct_split_r, embed_two_leg,
@@ -17,7 +18,8 @@ from qaw.representations import (ExactMatrix, InternalMismatchError,
                                  r_matrix_inverse, r_series_term, r_tilde,
                                  r_tilde_inverse, represent, spin_module,
                                  tensor_context)
-from qaw.scalars import SYMBOLIC, CycloFrac, PointDomain, ResidueDomain, q_integer
+from qaw.scalars import (SYMBOLIC, CycloFrac, LaurentPoly, PointDomain, ResidueDomain,
+                         add_into, q_integer)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -46,6 +48,69 @@ class TestExactMatrix:
         a = spin_module(2, domain).e + spin_module(2, domain).k
         assert (a - a).is_zero()
         assert (a - a).nnz() == 0
+
+
+def _term_by_term(zero, pieces):
+    """The sum of (key, value) pairs, one at a time, with zero sums dropped."""
+    total = {}
+    for key, v in pieces:
+        total[key] = total.get(key, zero) + v
+    return {key: v for key, v in total.items() if v}
+
+
+def _single_terms(x: TensorElement):
+    return [TensorElement(x.domain, x.arity, {key: c}) for key, c in x.items()]
+
+
+class TestSparseSums:
+    @pytest.mark.parametrize("domain", [D, PointDomain(Fraction(5, 3)),
+                                        ResidueDomain(Fraction(5, 3))],
+                             ids=["symbolic", "point", "residue"])
+    def test_sums_match_term_by_term_and_hold_no_zero(self, domain):
+        zero = domain.zero
+
+        def check(result, pieces, zero=zero):
+            entries = dict(result.terms if isinstance(result, LaurentPoly) else result.items())
+            assert entries == _term_by_term(zero, pieces)
+            assert all(entries.values())
+
+        acc = {0: domain.q(1)}
+        assert add_into(acc, [(0, -domain.q(1)), (1, domain.s(3))]) and acc == {1: domain.s(3)}
+        assert not add_into(acc, [(1, domain.s(3))], domain.q(-1))
+
+        # Each sum is taken with a partly cancelling and a fully cancelling term.
+        a, b = LaurentPoly({-1: 4, 0: 1, 2: 3}), LaurentPoly({2: -3, 5: 1})
+        for y in (b, -a):
+            check(a + y, [*a.terms.items(), *y.terms.items()], zero=0)
+
+        e, f, k = (generator(domain, g) for g in ("E", "F", "K"))
+        one = unit_element(domain)
+        x = e.tensor(k).scale(domain.q(1)) + f.tensor(one) + k.tensor(e).scale(domain.s(3))
+        part = e.tensor(k).scale(-domain.q(1)) + (f * e).tensor(one).scale(domain.q_int(2))
+        for y in (part, -x):
+            check(x + y, [*x.items(), *y.items()])
+
+        # (E + F)(E - F): the F E terms of -E F and F E cancel.
+        u, v = e + f, e - f
+        fe = (PBWMonomial(1, 1, 0),)
+        for s, t in ((u.tensor(v), v.tensor(u)), (u, v)):
+            pieces = [kv for s1 in _single_terms(s) for t1 in _single_terms(t)
+                      for kv in normal_order_mul(s1, t1).items()]
+            check(normal_order_mul(s, t), pieces)
+        assert fe in dict(pieces) and fe not in dict(normal_order_mul(u, v).items())
+
+        z = x + part
+        for leg in (1, 2):
+            check(coproduct_on_leg(z, leg),
+                  [kv for t in _single_terms(z) for kv in coproduct_on_leg(t, leg).items()])
+            assert (coproduct_on_leg(x, leg) + coproduct_on_leg(-x, leg)).is_zero()
+
+        mod = spin_module(2, domain)
+        m = mod.e + mod.k
+        for n in (mod.f - mod.k, mod.k, -m):
+            check(m + n, [*m.items(), *n.items()])
+            check(m - n, [*m.items(), *((rc, -w) for rc, w in n.items())])
+        assert (m - m).is_zero()
 
 
 class TestSpinModule:
