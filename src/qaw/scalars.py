@@ -47,56 +47,6 @@ class PoleError(ZeroDivisionError):
 
 
 # ---------------------------------------------------------------------------
-# dense helpers for the ordinary-polynomial layer (content / divexact)
-# ---------------------------------------------------------------------------
-
-def _dense_trim(coeffs: list[int]) -> list[int]:
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
-
-
-def _dense_content(coeffs: list[int]) -> int:
-    g = 0
-    for c in coeffs:
-        g = math.gcd(g, c)
-        if g == 1:
-            break
-    return g
-
-
-def _dense_divexact(a: list[int], b: list[int]) -> list[int]:
-    """Exact quotient a // b over Z[x]; raises if the division is not exact."""
-    a = _dense_trim(a[:])
-    b = _dense_trim(b[:])
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    if not a:
-        return []
-    if len(a) < len(b):
-        raise ArithmeticError("inexact polynomial division")
-    out = [0] * (len(a) - len(b) + 1)
-    db = len(b) - 1
-    lb = b[-1]
-    rest = [(j, cb) for j, cb in enumerate(b[:-1]) if cb]
-    for i in reversed(range(len(out))):
-        c = a[db + i]
-        if c:
-            if lb == 1:
-                q = c
-            else:
-                q, rem = divmod(c, lb)
-                if rem:
-                    raise ArithmeticError("inexact polynomial division")
-            out[i] = q
-            for j, cb in rest:
-                a[i + j] -= q * cb
-    if any(a[:db]):
-        raise ArithmeticError("inexact polynomial division")
-    return out
-
-
-# ---------------------------------------------------------------------------
 # sparse term maps
 # ---------------------------------------------------------------------------
 
@@ -127,6 +77,9 @@ def add_into(acc: dict, items, coeff=None) -> bool:
 # LaurentPoly
 # ---------------------------------------------------------------------------
 
+# Bound once for the _raw constructors, which an exact run calls ~10^5 times.
+_new, _set = object.__new__, object.__setattr__
+
 class LaurentPoly:
     """Integer-coefficient Laurent polynomial in s, stored sparsely.
 
@@ -146,9 +99,9 @@ class LaurentPoly:
     @classmethod
     def _raw(cls, terms: dict[int, int]) -> LaurentPoly:
         # Adopt a term map that already holds no zero coefficients, uncopied.
-        self = object.__new__(cls)
-        object.__setattr__(self, "_terms", terms)
-        object.__setattr__(self, "_hash", None)
+        self = _new(cls)
+        _set(self, "_terms", terms)
+        _set(self, "_hash", None)
         return self
 
     # -- constructors
@@ -202,7 +155,7 @@ class LaurentPoly:
         return self._terms[self.max_exp()]
 
     def content(self) -> int:
-        return _dense_content(list(self._terms.values()))
+        return math.gcd(*self._terms.values())
 
     def term_count(self) -> int:
         return len(self._terms)
@@ -219,7 +172,9 @@ class LaurentPoly:
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
-            h = hash(tuple(sorted(self._terms.items())))
+            t = self._terms
+            # A constant equals its int (the zero polynomial equals 0), so it hashes as one.
+            h = hash(t.get(0, 0)) if t.keys() <= {0} else hash(tuple(sorted(t.items())))
             object.__setattr__(self, "_hash", h)
         return h
 
@@ -248,28 +203,32 @@ class LaurentPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            if other == 0:
-                return _P_ZERO
-            return LaurentPoly._raw({e: c * other for e, c in self._terms.items()})
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
+        if other.__class__ is not LaurentPoly:
+            if isinstance(other, int):
+                if other == 0:
+                    return _P_ZERO
+                return LaurentPoly._raw({e: c * other for e, c in self._terms.items()})
+            if not isinstance(other, LaurentPoly):
+                return NotImplemented
         a, b = self._terms, other._terms
         if len(a) < len(b):
             a, b = b, a
         if not b:
             return _P_ZERO
+        b_items = b.items()
         if len(b) == 1:
             # A monomial factor shifts and scales; no coefficient can vanish.
-            (e2, c2), = b.items()
+            (e2, c2), = b_items
             return LaurentPoly._raw({e + e2: c * c2 for e, c in a.items()})
         out: dict[int, int] = {}
         get = out.get
         for e1, c1 in a.items():
-            for e2, c2 in b.items():
+            for e2, c2 in b_items:
                 e = e1 + e2
                 out[e] = get(e, 0) + c1 * c2
-        return LaurentPoly._raw({e: c for e, c in out.items() if c})
+        if 0 in out.values():
+            out = {e: c for e, c in out.items() if c}
+        return LaurentPoly._raw(out)
 
     __rmul__ = __mul__
 
@@ -326,22 +285,48 @@ def _as_poly(x) -> LaurentPoly:
     raise TypeError(f"cannot interpret {x!r} as a Laurent polynomial")
 
 
+def _divide_dense(f: LaurentPoly, d: int, tail: tuple[tuple[int, int], ...],
+                  lead: int = 1) -> LaurentPoly | None:
+    """f / g for g = lead*s**d + sum(c*s**j for j, c in tail), 0 <= j < d, or
+    None if g does not divide f: one synthetic-division pass over a dense
+    copy of f (von zur Gathen-Gerhard, Modern Computer Algebra, 2.4)."""
+    t = f._terms
+    if not t:
+        return f
+    lo = min(t)
+    n = max(t) - lo
+    if n < d:
+        return None
+    a = [0] * (n + 1)
+    for e, c in t.items():
+        a[e - lo] = c
+    out = {}
+    for i in range(n, d - 1, -1):
+        c = a[i]
+        if c:
+            if lead != 1:
+                c, r = divmod(c, lead)
+                if r:
+                    return None
+            base = i - d
+            out[base + lo] = c
+            for j, cb in tail:
+                a[base + j] -= c * cb
+    if any(a[:d]):
+        return None
+    return LaurentPoly._raw(out)
+
+
 def laurent_divexact(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     """Exact quotient of Laurent polynomials (raises if not exact)."""
     if b.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
-    if a.is_zero():
-        return _P_ZERO
-    av, bv = a.min_exp(), b.min_exp()
-    ad = [0] * (a.max_exp() - av + 1)
-    for e, c in a._terms.items():
-        ad[e - av] = c
-    bd = [0] * (b.max_exp() - bv + 1)
-    for e, c in b._terms.items():
-        bd[e - bv] = c
-    qd = _dense_divexact(ad, bd)
-    shift = av - bv
-    return LaurentPoly({i + shift: c for i, c in enumerate(qd) if c})
+    bv, d = b.min_exp(), b.max_exp() - b.min_exp()
+    tail = tuple((e - bv, c) for e, c in b._terms.items() if e - bv < d)
+    q = _divide_dense(a, d, tail, b.leading_coefficient())
+    if q is None:
+        raise ArithmeticError("inexact polynomial division")
+    return q.shifted(-bv)
 
 
 # ---------------------------------------------------------------------------
@@ -411,9 +396,10 @@ def cyclotomic(k: int) -> LaurentPoly:
 
 
 @lru_cache(maxsize=None)
-def _root_table(k: int) -> tuple[int, tuple[int, ...]]:
-    """A prime p = 1 (mod k) and the powers w**0 .. w**(k-1) of a primitive
-    k-th root of unity w modulo p.
+def _root_table(k: int) -> tuple[int, tuple[int, ...], int, tuple[tuple[int, int], ...]]:
+    """A prime p = 1 (mod k), the powers w**0 .. w**(k-1) of a primitive
+    k-th root of unity w modulo p, and deg Phi_k with the (exponent,
+    coefficient) pairs of the lower terms of Phi_k.
 
     The primitive k-th roots of unity mod p are exactly the roots of Phi_k
     mod p, so Phi_k | f over Z implies f(w) = 0 (mod p).
@@ -432,22 +418,23 @@ def _root_table(k: int) -> tuple[int, tuple[int, ...]]:
     table = [1] * k
     for i in range(1, k):
         table[i] = table[i - 1] * w % p
-    return p, tuple(table)
+    phi = cyclotomic(k)
+    d = phi.max_exp()
+    return p, tuple(table), d, tuple((e, c) for e, c in phi._terms.items() if e < d)
 
 
 def _divide_cyclotomic(f: LaurentPoly, k: int) -> LaurentPoly | None:
     """f / Phi_k if Phi_k divides f exactly, else None.
 
-    A nonzero residue f(w) mod p proves that Phi_k does not divide f; a zero
-    residue is confirmed (or refuted) by exact division.
+    A nonzero residue f(w) mod p proves that Phi_k does not divide f and
+    costs one pass over the terms of f.  A zero residue is confirmed, or
+    refuted by a nonzero remainder, by one synthetic division by the monic
+    Phi_k.
     """
-    p, table = _root_table(k)
+    p, table, d, tail = _root_table(k)
     if sum(c * table[e % k] for e, c in f._terms.items()) % p:
         return None
-    try:
-        return laurent_divexact(f, cyclotomic(k))
-    except ArithmeticError:
-        return None
+    return _divide_dense(f, d, tail)
 
 
 @lru_cache(maxsize=None)
@@ -533,11 +520,11 @@ class CycloFrac:
     def _raw(cls, num: LaurentPoly, c: int = 1,
              den: tuple[tuple[int, int], ...] = ()) -> CycloFrac:
         # Bypass reduction for inputs already in reduced form.
-        self = object.__new__(cls)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "_hash", None)
+        self = _new(cls)
+        _set(self, "num", num)
+        _set(self, "c", c)
+        _set(self, "den", den)
+        _set(self, "_hash", None)
         return self
 
     # -- conversion and inspection
@@ -550,7 +537,7 @@ class CycloFrac:
         return self.num.is_zero()
 
     def __bool__(self) -> bool:
-        return bool(self.num)
+        return bool(self.num._terms)
 
     def term_count(self) -> int:
         return self.num.term_count() + self.denominator().term_count()
@@ -578,7 +565,9 @@ class CycloFrac:
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
-            h = hash((self.num, self.c, self.den))
+            # A polynomial value equals its numerator (and an int), so it hashes as one.
+            poly = not self.den and self.c == 1
+            h = hash(self.num) if poly else hash((self.num, self.c, self.den))
             object.__setattr__(self, "_hash", h)
         return h
 
@@ -617,7 +606,7 @@ class CycloFrac:
         if other.__class__ is not CycloFrac and (other := _lift(other)) is None:
             return NotImplemented
         a, b = self.num, other.num
-        if not a or not b:
+        if not a._terms or not b._terms:
             return _C_ZERO
         if not self.den and not other.den and self.c == 1 and other.c == 1:
             return CycloFrac._raw(a * b)
@@ -989,6 +978,8 @@ class Residue:
         return self.v == other.v
 
     def __hash__(self) -> int:
+        # Only Residues hash alike when equal: a Residue also equals every int
+        # congruent to it mod P, and no hash can match all of those.
         return hash(self.v)
 
     def __bool__(self) -> bool:

@@ -1,8 +1,30 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from qaw.cli import parse_args, run
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# Reports whose every byte but the timings is fixed: the verdicts, params,
+# witnesses and residual counts of an exact run and of a seeded eval run with
+# a failing check.
+REPORT_GOLDENS = {
+    "report_all_exact_2-1-2.json": ["--spins", "2,1,2"],
+    "report_all_eval_2-1-2_seed7_negative_control.json":
+        ["--spins", "2,1,2", "--mode", "eval", "--seed", "7", "--negative-control"],
+}
+
+
+def timing_free_report(argv: list[str], path: Path) -> str:
+    """The JSON report the CLI writes for argv, without its timing fields."""
+    run(parse_args(argv + ["--json", str(path)]))
+    data = json.loads(path.read_text())
+    del data["setup_ms"], data["wall_ms"]
+    for check in data["checks"]:
+        del check["runtime_ms"]
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
 class TestParseArgs:
@@ -72,3 +94,9 @@ class TestRun:
         status = run(parse_args(["--suite", "aw3-symbolic", "--verbose"]))
         assert status == 0
         assert "params:" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_GOLDENS))
+def test_report_matches_golden(name, tmp_path, capsys):
+    report = timing_free_report(REPORT_GOLDENS[name], tmp_path / name)
+    assert report == (GOLDEN / name).read_text()

@@ -77,6 +77,38 @@ class TestLaurentPoly:
         assert laurent_divexact(prod, a) == b
         with pytest.raises(ArithmeticError):
             laurent_divexact(prod + 1, a)
+        c = P({3: 2, -1: 1})  # leading coefficient 2
+        assert laurent_divexact(b * c, c) == b
+        with pytest.raises(ArithmeticError):
+            laurent_divexact(b * c + P({1: 1}), c)
+
+    def test_products_store_no_zero(self):
+        for a, b in [(P({0: 1, 1: 1}), P({0: 1, 1: -1})),
+                     (P({-1: 1, 1: 1}), P({-1: 1, 1: -1})),
+                     (P({-2: 1, 0: 3, 2: 1}), P({-2: 1, 0: -3, 2: 1}))]:
+            for prod in (a * b, b * a):
+                assert 0 not in prod._terms.values()
+        assert (P({0: 1, 1: 1}) * P({0: 1, 1: -1}))._terms == {0: 1, 2: -1}
+        assert (P({-1: 1, 1: 1}) * P({-1: 1, 1: -1}))._terms == {-2: 1, 2: -1}
+
+    def test_product_paths_agree(self):
+        # The int and monomial fast paths give what a plain double loop gives.
+        rng = random.Random(3)
+
+        def reference(a, b):
+            out = {}
+            for e1, c1 in a.items():
+                for e2, c2 in b.items():
+                    out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+            return {e: c for e, c in out.items() if c}
+
+        for _ in range(200):
+            a = P({rng.randint(-6, 6): rng.randint(-9, 9) for _ in range(rng.randint(0, 6))})
+            m = P({rng.randint(-6, 6): rng.randint(-9, 9)})
+            n = rng.randint(-9, 9)
+            assert (a * m)._terms == (m * a)._terms == reference(a._terms, m._terms)
+            assert (a * n)._terms == (n * a)._terms == reference(a._terms, {0: n})
+            assert a * n == a * LaurentPoly.constant(n)
 
 
 class TestCycloFrac:
@@ -141,6 +173,27 @@ class TestCycloFrac:
         assert x.den == ((1, 1),)
         assert x.text() == f"({p}*s^0 + {p}*s^1)/(-1*s^0 + 1*s^1)"
 
+    def test_divide_cyclotomic_differential(self):
+        # Division by Phi_k against multiplication by it, for f with negative
+        # exponents; a remainder s^m, and p times it (whose residue is 0 mod
+        # p), are refuted.
+        rng = random.Random(13)
+        for k in range(1, 31):
+            phi = cyclotomic(k)
+            p = _root_table(k)[0]
+            for _ in range(6):
+                f = P({rng.randint(-15, 10): rng.randint(-30, 30)
+                       for _ in range(rng.randint(1, 7))})
+                if not f:
+                    continue
+                s_m = LaurentPoly.s_power(rng.randint(-20, 40))
+                assert _divide_cyclotomic(f * phi, k) == f
+                assert _divide_cyclotomic(f * phi + s_m, k) is None
+                assert _divide_cyclotomic((f * phi + s_m) * p, k) is None
+                assert laurent_divexact(f * phi, phi) == f
+                with pytest.raises(ArithmeticError):
+                    laurent_divexact(f * phi + s_m, phi)
+
     def test_inverse_pair(self):
         x = CycloFrac(1, P({2: 1, 0: 1}))
         assert x * CycloFrac(P({2: 1, 0: 1})) == CycloFrac(1)
@@ -178,6 +231,15 @@ class TestCycloFrac:
         assert y != 2 and y != 1 and y != P({0: 2})
         assert y * P({0: 1, 2: 1}) == 2
         assert CycloFrac(P({1: 1})) != P({-1: 1}) and CycloFrac(1) != "1"
+
+    def test_equal_values_hash_equal(self):
+        three, x = LaurentPoly.constant(3), P({2: 1, -2: -1})
+        for a, b in [(three, 3), (LaurentPoly.zero(), 0), (CycloFrac(3), 3),
+                     (CycloFrac(3), three), (CycloFrac(0), 0), (CycloFrac(x), x),
+                     (CycloFrac(P({0: 6}), P({0: 2})), 3), (SYMBOLIC.one, 1)]:
+            assert a == b and hash(a) == hash(b)
+        assert len({3, three, CycloFrac(3)}) == 1
+        assert len({x, CycloFrac(x), CycloFrac(1, 2), CycloFrac(x, P({2: 1, -2: 1}))}) == 3
 
     def test_field_laws_random(self):
         rng = random.Random(11)
