@@ -97,6 +97,6 @@ class TestRun:
 
 
 @pytest.mark.parametrize("name", sorted(REPORT_GOLDENS))
-def test_report_matches_golden(name, tmp_path, capsys):
+def test_report_matches_golden(name, tmp_path):
     report = timing_free_report(REPORT_GOLDENS[name], tmp_path / name)
     assert report == (GOLDEN / name).read_text()
