@@ -10,7 +10,7 @@ from .scalars import (LaurentPoly, CycloFrac, ScalarDomain,
                       SymbolicDomain, PointDomain, ResidueDomain,
                       RESIDUE_PRIME, SYMBOLIC, q_integer,
                       q_factorial, r_series_coefficient, cyclotomic,
-                      evaluate_scalar, random_admissible_point,
+                      random_admissible_point,
                       ForbiddenPointError, PoleError, NonCyclotomicError)
 from .algebra import (PBWMonomial, TensorElement, ArityMismatchError,
                       InvalidPatternError, UnsupportedElementError,
@@ -18,7 +18,7 @@ from .algebra import (PBWMonomial, TensorElement, ArityMismatchError,
                       coproduct, coproduct_op, coproduct_on_leg,
                       extend_coproduct, q_commutator, tau_closed_form,
                       tau_argument_elements, c13_zero_symbolic,
-                      pbw_element, generator, unit_element, zero_element,
+                      pbw_element, generator, unit_element,
                       random_element)
 from .representations import (ExactMatrix, SpinModule, TensorContext,
                               InternalMismatchError, spin_module,

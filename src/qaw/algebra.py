@@ -183,10 +183,6 @@ class TensorElement:
 # constructors
 # ---------------------------------------------------------------------------
 
-def zero_element(domain: ScalarDomain, arity: int = 1) -> TensorElement:
-    return TensorElement(domain, arity)
-
-
 def unit_element(domain: ScalarDomain, arity: int = 1) -> TensorElement:
     return TensorElement(domain, arity, {(MONO_ONE,) * arity: domain.one})
 

@@ -9,16 +9,17 @@ q**(2*m1*m2) factors never require symbolic square roots.
 Two value types implement it:
 
   LaurentPoly -- sparse integer-coefficient Laurent polynomial in s
-  CycloFrac   -- num / (c * prod Phi_k(s)**e_k), a LaurentPoly over a
-                 positive integer times cyclotomic polynomials; reduced by
-                 trial division by the Phi_k present, never a gcd
+  CycloFrac   -- num / prod Phi_k(s)**e_k, a LaurentPoly over a product
+                 of cyclotomic polynomials; reduced by trial division by
+                 the Phi_k present, never a gcd
 
 Both are immutable and hashable, and each has a unique reduced form, so
 equality is a structural check.  CycloFrac prints as ``"(num)/(den)"`` with
 numerator and denominator coprime and the denominator of minimal exponent 0
-and positive leading coefficient.  Every denominator the workbench produces
+and leading coefficient 1.  Every denominator the workbench produces
 (q-integers, q-factorials, q - q^-1, q + q^-1) is cyclotomic, so CycloFrac
-is the exact scalar of the symbolic domain.
+is the exact scalar of the symbolic domain; any other denominator, an
+integer > 1 included, raises NonCyclotomicError.
 
 A :class:`ScalarDomain` selects what a computation runs over: the symbolic
 field (CycloFrac values), exact rational evaluation at a fixed admissible
@@ -32,7 +33,6 @@ any of them.
 from __future__ import annotations
 
 import inspect
-import math
 import random
 from fractions import Fraction
 from functools import lru_cache, wraps
@@ -153,9 +153,6 @@ class LaurentPoly:
         if not self._terms:
             return 0
         return self._terms[self.max_exp()]
-
-    def content(self) -> int:
-        return math.gcd(*self._terms.values())
 
     def term_count(self) -> int:
         return len(self._terms)
@@ -335,7 +332,7 @@ def laurent_divexact(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
 
 class NonCyclotomicError(ArithmeticError):
     """Raised when an exact symbolic value would get a denominator that is not
-    +-s**m times an integer times a product of cyclotomic polynomials."""
+    +-s**m times a product of cyclotomic polynomials."""
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -447,22 +444,22 @@ def _cyclotomic_product(exps: tuple[tuple[int, int], ...]) -> LaurentPoly:
 
 
 @lru_cache(maxsize=None)
-def _cyclotomic_factors(f: LaurentPoly) -> tuple[int, int, int, tuple[tuple[int, int], ...]]:
-    """Factor f = sign * s**shift * c * prod Phi_k**e by trial division.
+def _cyclotomic_factors(f: LaurentPoly) -> tuple[int, int, tuple[tuple[int, int], ...]]:
+    """Factor f = sign * s**shift * prod Phi_k**e by trial division.
 
-    Returns (sign, shift, c, exps) with c > 0 and exps sorted by k; raises
-    NonCyclotomicError if f has any other irreducible factor.
+    Returns (sign, shift, exps) with exps sorted by k; raises
+    NonCyclotomicError if f has any other factor, an integer > 1 included.
     """
     if f.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     shift = f.min_exp()
     sign = 1 if f.leading_coefficient() > 0 else -1
-    c = f.content()
-    rest = LaurentPoly._raw({e - shift: v // (sign * c) for e, v in f._terms.items()})
+    rest = LaurentPoly._raw({e - shift: v * sign for e, v in f._terms.items()})
     deg = rest.max_exp()
     t = rest._terms
     # Every Phi_k is monic with constant term +-1 and (anti)palindromic, so a
-    # product of them is too; this rejects most other polynomials at once.
+    # product of them is too; this rejects most other polynomials at once,
+    # and every integer content > 1, which divides the constant term.
     if abs(t[0]) != 1 or any(t.get(deg - e) not in (v, -v) for e, v in t.items()):
         raise NonCyclotomicError(f"{f.text()} has a non-cyclotomic factor")
     exps = []
@@ -479,7 +476,7 @@ def _cyclotomic_factors(f: LaurentPoly) -> tuple[int, int, int, tuple[tuple[int,
         if e:
             exps.append((k, e))
             deg = rest.max_exp()
-    return sign, shift, c, tuple(exps)
+    return sign, shift, tuple(exps)
 
 
 # ---------------------------------------------------------------------------
@@ -487,29 +484,27 @@ def _cyclotomic_factors(f: LaurentPoly) -> tuple[int, int, int, tuple[tuple[int,
 # ---------------------------------------------------------------------------
 
 class CycloFrac:
-    """num / (c * prod Phi_k(s)**e_k): a rational function with a cyclotomic
+    """num / prod Phi_k(s)**e_k: a rational function with a cyclotomic
     denominator, the scalar that ``SYMBOLIC`` computes with.
 
     Every denominator the workbench meets (q-integers, q-factorials,
     q - q^-1, q + q^-1) is such a product, so products add exponents, sums
     take exponent maxima, and cancellation is trial division by the few
     Phi_k present -- never a polynomial gcd.  Values are kept reduced: no
-    Phi_k with e_k > 0 divides num, and gcd(content(num), c) = 1.  This form
-    is unique, so equality and hashing are structural.  The text form is
-    ``"(num)/(den)"`` with den = c * prod Phi_k**e_k expanded, which has
-    minimal exponent 0 and a positive leading coefficient.  Dividing by a
-    value whose numerator has a non-cyclotomic factor raises
-    NonCyclotomicError.
+    Phi_k with e_k > 0 divides num.  This form is unique, so equality and
+    hashing are structural.  The text form is ``"(num)/(den)"`` with
+    den = prod Phi_k**e_k expanded, which has minimal exponent 0 and leading
+    coefficient 1.  Dividing by a value whose numerator has any other factor,
+    an integer > 1 included, raises NonCyclotomicError.
     """
 
-    __slots__ = ("num", "c", "den", "_hash")
+    __slots__ = ("num", "den", "_hash")
 
     def __init__(self, num=0, den=1):
         num = _as_poly(num)
-        sign, shift, c, exps = _cyclotomic_factors(_as_poly(den))
-        r = _reduced(num.shifted(-shift) * sign, c, dict(exps))
+        sign, shift, exps = _cyclotomic_factors(_as_poly(den))
+        r = _reduced(num.shifted(-shift) * sign, dict(exps))
         object.__setattr__(self, "num", r.num)
-        object.__setattr__(self, "c", r.c)
         object.__setattr__(self, "den", r.den)
         object.__setattr__(self, "_hash", None)
 
@@ -517,12 +512,10 @@ class CycloFrac:
         raise AttributeError("CycloFrac is immutable")
 
     @classmethod
-    def _raw(cls, num: LaurentPoly, c: int = 1,
-             den: tuple[tuple[int, int], ...] = ()) -> CycloFrac:
+    def _raw(cls, num: LaurentPoly, den: tuple[tuple[int, int], ...] = ()) -> CycloFrac:
         # Bypass reduction for inputs already in reduced form.
         self = _new(cls)
         _set(self, "num", num)
-        _set(self, "c", c)
         _set(self, "den", den)
         _set(self, "_hash", None)
         return self
@@ -530,8 +523,8 @@ class CycloFrac:
     # -- conversion and inspection
 
     def denominator(self) -> LaurentPoly:
-        """c * prod Phi_k**e_k expanded: minimal exponent 0, positive leading coefficient."""
-        return _cyclotomic_product(self.den) * self.c
+        """prod Phi_k**e_k expanded: minimal exponent 0, leading coefficient 1."""
+        return _cyclotomic_product(self.den)
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -560,19 +553,18 @@ class CycloFrac:
     def __eq__(self, other) -> bool:
         if other.__class__ is not CycloFrac and (other := _lift(other)) is None:
             return NotImplemented
-        return self.num == other.num and self.c == other.c and self.den == other.den
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
             # A polynomial value equals its numerator (and an int), so it hashes as one.
-            poly = not self.den and self.c == 1
-            h = hash(self.num) if poly else hash((self.num, self.c, self.den))
+            h = hash((self.num, self.den) if self.den else self.num)
             object.__setattr__(self, "_hash", h)
         return h
 
     def __neg__(self):
-        return CycloFrac._raw(-self.num, self.c, self.den)
+        return CycloFrac._raw(-self.num, self.den)
 
     def __add__(self, other):
         if other.__class__ is not CycloFrac and (other := _lift(other)) is None:
@@ -581,16 +573,14 @@ class CycloFrac:
             return self
         if not self.num:
             return other
-        if self.den == other.den and self.c == other.c:
-            if not self.den and self.c == 1:
+        if self.den == other.den:
+            if not self.den:
                 return CycloFrac._raw(self.num + other.num)
-            return _reduced(self.num + other.num, self.c, dict(self.den))
+            return _reduced(self.num + other.num, dict(self.den))
         da, db = dict(self.den), dict(other.den)
         common = {k: max(da.get(k, 0), db.get(k, 0)) for k in da.keys() | db.keys()}
-        c = self.c * other.c // math.gcd(self.c, other.c)
-        num = (_cofactor(self.num, common, da, c // self.c)
-               + _cofactor(other.num, common, db, c // other.c))
-        return _reduced(num, c, common)
+        num = _cofactor(self.num, common, da) + _cofactor(other.num, common, db)
+        return _reduced(num, common)
 
     __radd__ = __add__
 
@@ -608,33 +598,24 @@ class CycloFrac:
         a, b = self.num, other.num
         if not a._terms or not b._terms:
             return _C_ZERO
-        if not self.den and not other.den and self.c == 1 and other.c == 1:
+        if not self.den and not other.den:
             return CycloFrac._raw(a * b)
         # Both operands are reduced and each Phi_k is irreducible, so a
         # factor can only cancel against the other operand's numerator.
         b, da = _cancel(b, self.den)
         a, db = _cancel(a, other.den)
-        ca, cb = self.c, other.c
-        if ca > 1:
-            g = math.gcd(ca, b.content())
-            if g > 1:
-                b, ca = _divide_content(b, g), ca // g
-        if cb > 1:
-            g = math.gcd(cb, a.content())
-            if g > 1:
-                a, cb = _divide_content(a, g), cb // g
         for k, e in db.items():
             da[k] = da.get(k, 0) + e
-        return CycloFrac._raw(a * b, ca * cb, _exponent_tuple(da))
+        return CycloFrac._raw(a * b, _exponent_tuple(da))
 
     __rmul__ = __mul__
 
     def inverse(self) -> CycloFrac:
         if not self.num:
             raise ZeroDivisionError("inverting the zero scalar")
-        sign, shift, c, exps = _cyclotomic_factors(self.num)
-        num = (_cyclotomic_product(self.den) * (sign * self.c)).shifted(-shift)
-        return CycloFrac._raw(num, c, exps)
+        sign, shift, exps = _cyclotomic_factors(self.num)
+        num = (_cyclotomic_product(self.den) * sign).shifted(-shift)
+        return CycloFrac._raw(num, exps)
 
     def __truediv__(self, other):
         if (other := _lift(other)) is None:
@@ -652,8 +633,7 @@ class CycloFrac:
         if n == 0:
             return _C_ONE
         # A power of a reduced value is reduced (Gauss's lemma, Phi_k irreducible).
-        return CycloFrac._raw(self.num ** n, self.c ** n,
-                              tuple((k, e * n) for k, e in self.den))
+        return CycloFrac._raw(self.num ** n, tuple((k, e * n) for k, e in self.den))
 
 
 def _lift(x) -> CycloFrac | None:
@@ -669,10 +649,6 @@ def _exponent_tuple(exps: dict[int, int]) -> tuple[tuple[int, int], ...]:
     return tuple(sorted((k, e) for k, e in exps.items() if e))
 
 
-def _divide_content(f: LaurentPoly, g: int) -> LaurentPoly:
-    return LaurentPoly._raw({e: v // g for e, v in f._terms.items()})
-
-
 def _cancel(f: LaurentPoly, den: tuple[tuple[int, int], ...]) -> tuple[LaurentPoly, dict[int, int]]:
     """Divide f by each Phi_k**e of den as far as it goes; return f and what is left of den."""
     left = dict(den)
@@ -684,25 +660,18 @@ def _cancel(f: LaurentPoly, den: tuple[tuple[int, int], ...]) -> tuple[LaurentPo
     return f, left
 
 
-def _cofactor(num: LaurentPoly, common: dict[int, int], own: dict[int, int],
-              scale: int) -> LaurentPoly:
+def _cofactor(num: LaurentPoly, common: dict[int, int], own: dict[int, int]) -> LaurentPoly:
     """num brought from its own denominator to the common one."""
     missing = _exponent_tuple({k: e - own.get(k, 0) for k, e in common.items()})
-    if missing:
-        num = num * _cyclotomic_product(missing)
-    return num * scale if scale != 1 else num
+    return num * _cyclotomic_product(missing) if missing else num
 
 
-def _reduced(num: LaurentPoly, c: int, exps: dict[int, int]) -> CycloFrac:
-    """num / (c * prod Phi_k**e) in reduced form; c > 0 and exps maps k to e >= 0."""
+def _reduced(num: LaurentPoly, exps: dict[int, int]) -> CycloFrac:
+    """num / prod Phi_k**e in reduced form; exps maps k to e >= 0."""
     if not num:
         return _C_ZERO
     num, left = _cancel(num, _exponent_tuple(exps))
-    if c > 1:
-        g = math.gcd(c, num.content())
-        if g > 1:
-            num, c = _divide_content(num, g), c // g
-    return CycloFrac._raw(num, c, _exponent_tuple(left))
+    return CycloFrac._raw(num, _exponent_tuple(left))
 
 
 _C_ZERO = CycloFrac._raw(_P_ZERO)
@@ -754,14 +723,6 @@ def check_admissible_point(s0: Fraction) -> Fraction:
     if s0 == 0 or s0 ** 4 == 1:
         raise ForbiddenPointError(f"s = {s0} makes q = s**2 degenerate")
     return s0
-
-
-def evaluate_scalar(x, s0: Fraction) -> Fraction:
-    """Exact value of a LaurentPoly or CycloFrac at an admissible rational point."""
-    s0 = check_admissible_point(s0)
-    if isinstance(x, (LaurentPoly, CycloFrac)):
-        return x.evaluate(s0)
-    raise TypeError(f"cannot evaluate {x!r}")
 
 
 def random_admissible_point(rng: random.Random) -> Fraction:

@@ -8,10 +8,12 @@ from qaw.cli import parse_args, run
 GOLDEN = Path(__file__).parent / "golden"
 
 # Reports whose every byte but the timings is fixed: the verdicts, params,
-# witnesses and residual counts of an exact run and of a seeded eval run with
-# a failing check.
+# witnesses and residual counts of exact runs on three and four legs and of
+# the tau suite, and of a seeded eval run with a failing check.
 REPORT_GOLDENS = {
     "report_all_exact_2-1-2.json": ["--spins", "2,1,2"],
+    "report_all_exact_1-1-1-1.json": ["--spins", "1,1,1,1"],
+    "report_tau_exact_1-2.json": ["--suite", "tau", "--spins", "1,2"],
     "report_all_eval_2-1-2_seed7_negative_control.json":
         ["--spins", "2,1,2", "--mode", "eval", "--seed", "7", "--negative-control"],
 }

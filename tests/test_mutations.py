@@ -175,6 +175,27 @@ def test_perturbed_pair_casimir_on_four_legs(monkeypatch, mode, legs):
     assert failed == {"aw4.c13_0_two_routes" if legs == (1, 3) else "aw4.c24_1_two_routes"}
 
 
+@pytest.mark.parametrize("mode", ["exact", "eval"])
+def test_perturbed_c24_1_conjugation(monkeypatch, mode):
+    # On four legs the second Rt23^-1 of each context conjugates C24 into
+    # C24_1.  An off-diagonal entry there breaks C24_1 alone, so it no longer
+    # commutes with C13_0; a diagonal one, at (0, 0) or (5, 5), would not.
+    real = reps.r_tilde_inverse
+    seen = []
+
+    def perturbed(legs, ctx):
+        m = real(legs, ctx)
+        if legs != (2, 3) or ctx.arity != 4:
+            return m
+        seen.append(ctx)
+        if sum(c is ctx for c in seen) != 2:
+            return m
+        return m + ExactMatrix(m.dim, {(1, 2): ctx.domain.one})
+    monkeypatch.setattr(reps, "r_tilde_inverse", perturbed)
+    failed = _failed(_verdicts(monkeypatch, ("aw4",), (1, 1, 1, 1), mode))
+    assert failed == {"aw4.c24_1_two_routes", "aw4.commutator[C13_0,C24_1]"}
+
+
 @RUNS
 @pytest.mark.parametrize("group, message", [
     ("rmatrix", "flip-conjugated R and the reordered series disagree"),
