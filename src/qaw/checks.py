@@ -533,7 +533,7 @@ def check_theorem_c13(ctx: TensorContext, store: RunStore | None = None) -> list
 
 def _tau_matrix(pair: TensorContext, mat: ExactMatrix) -> ExactMatrix:
     """Matrix form of the left coaction: Rtilde^-1 (1 @ mat) Rtilde on the pair."""
-    lifted = ExactMatrix.identity(pair.dims[0], pair.domain.one).kron(mat)
+    lifted = reps.embed_legs(mat, (2,), pair)
     return reps.r_tilde_inverse((1, 2), pair) * lifted * reps.r_tilde((1, 2), pair)
 
 
@@ -544,8 +544,9 @@ def _id_tau_matrix(x: TensorElement, ctx3: TensorContext) -> ExactMatrix:
     conjugation and one kron per monomial u on the first leg.
     """
     pair23 = tensor_context(ctx3.spins[1:], ctx3.domain)
-    return sum((ctx3.monomial_matrix(u).kron(_tau_matrix(pair23, tail))
-                for u, tail in reps.sum_by_prefix(x, ctx3.modules[2]).items()),
+    first, last = ctx3.modules[0], ctx3.modules[2:]
+    return sum((first.monomial(u).kron(_tau_matrix(pair23, reps.represent_terms(tail, last)))
+                for u, tail in reps.group_by_first_leg(x.items()).items()),
                ExactMatrix(ctx3.total_dim))
 
 
@@ -581,13 +582,15 @@ def check_tau(ctx2: TensorContext, ctx3: TensorContext) -> list[CheckResult]:
     y = reps.r_matrix_inverse((1, 2), ctx3) * reps.coproduct_split_r(ctx3, "id_coproduct")
     r13p = reps.r_matrix((1, 2), pair13)
     r13pi = reps.r_matrix_inverse((1, 2), pair13)
+    # tau.right_coaction[C] holds for every Y: C acts on leg 1 as a scalar
+    # c, so x_1 = c 1, tau_check(C)_13 = c 1 and emb Y - Y x_1 = 0.  It is
+    # kept because the report goldens and bench/workloads.json pin its name.
     for g in ("E", "F", "K", "C"):
         t0 = time.perf_counter_ns()
         x = alg.casimir(domain) if g == "C" else alg.generator(domain, g)
-        x1 = reps.represent(alg.extend_coproduct(x, (1,), 3), ctx3)
         x_on_1 = reps.represent(x, tensor_context((ctx3.spins[0],), domain))
-        tau_check = r13p * x_on_1.kron(
-            ExactMatrix.identity(pair13.dims[1], domain.one)) * r13pi
+        x1 = reps.embed_legs(x_on_1, (1,), ctx3)
+        tau_check = r13p * reps.embed_legs(x_on_1, (1,), pair13) * r13pi
         emb = reps.embed_two_leg(tau_check, (1, 3), ctx3)
         out.append(_make_result(f"tau.right_coaction[{g}]",
                                 _params(ctx3), [emb * y - y * x1], t0))

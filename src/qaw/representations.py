@@ -19,15 +19,15 @@ An ExactMatrix stores no zero entry: its sums, including those in
 ``represent``, go through ``scalars.add_into``, which deletes the entries
 that cancel, and its product kernel inlines that rule.
 
-Spin modules, tensor contexts, R-matrix cores, the split R and monomial
-matrices are memoised in their scalar domain (``scalars.domain_memo``) and
-live as long as it.
+Spin modules, tensor contexts, R-matrix cores, the split R and each module's
+monomial matrices are memoised in their scalar domain (``scalars.domain_memo``)
+and live as long as it; ``represent`` keeps none of its multi-leg products.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import reduce
+import math
 
 from .algebra import (ArityMismatchError, PBWMonomial, TensorElement,
                       casimir, coproduct, extend_coproduct, generator,
@@ -267,15 +267,8 @@ class TensorContext:
         self.domain = domain
         self.modules = tuple(spin_module(t, domain) for t in self.spins)
         self.dims = tuple(m.dim for m in self.modules)
-        self.total_dim = 1
-        for d in self.dims:
-            self.total_dim *= d
-        self.strides = []
-        acc = 1
-        for d in reversed(self.dims):
-            self.strides.append(acc)
-            acc *= d
-        self.strides = tuple(reversed(self.strides))
+        self.total_dim = math.prod(self.dims)
+        self.strides = tuple(math.prod(self.dims[i + 1:]) for i in range(len(self.dims)))
 
     @property
     def arity(self) -> int:
@@ -286,12 +279,6 @@ class TensorContext:
 
     def multi_indices(self):
         return itertools.product(*(range(d) for d in self.dims))
-
-    @domain_memo
-    def monomial_matrix(self, key: tuple[PBWMonomial, ...]) -> ExactMatrix:
-        """The kron of the monomials of key on the first len(key) legs."""
-        return reduce(ExactMatrix.kron,
-                      (mod.monomial(mono) for mod, mono in zip(self.modules, key)))
 
     def identity(self) -> ExactMatrix:
         return ExactMatrix.identity(self.total_dim, self.domain.one)
@@ -305,32 +292,44 @@ def tensor_context(spins: tuple[int, ...], domain: ScalarDomain) -> TensorContex
     return TensorContext(tuple(spins), domain)
 
 
-def sum_by_prefix(x: TensorElement, last: SpinModule) -> dict[tuple, ExactMatrix]:
-    """Per prefix u of x's keys, the sum of c rho(w) on last over x's terms
-    c u@w; prefixes whose sum cancels are left out."""
-    sums: dict[tuple, dict] = {}
-    for key, coeff in x.items():
-        add_into(sums.setdefault(key[:-1], {}), last.monomial(key[-1]).items(), coeff)
-    return {u: ExactMatrix(last.dim, acc) for u, acc in sums.items() if acc}
+def group_by_first_leg(terms) -> dict[PBWMonomial, list]:
+    """The (key, c) terms as {u: [(rest of key, c), ...]} over first-leg monomials u."""
+    groups: dict[PBWMonomial, list] = {}
+    for key, c in terms:
+        groups.setdefault(key[0], []).append((key[1:], c))
+    return groups
+
+
+def represent_terms(terms, modules: tuple[SpinModule, ...]) -> ExactMatrix:
+    """sum c rho(key) over the (key, c) terms, on the tensor product of modules.
+
+    Leg by leg, by the mixed-product rule: rho(x) = sum_u rho_1(u) @ rho(x_u)
+    over the first-leg monomials u, with x_u the terms c u@w as c w.  So the
+    coefficients scale last-leg matrices, most sums happen on the last legs,
+    and each leg takes one kron per distinct u.  The size comes from the
+    modules, so an empty sum has the right one.
+    """
+    first, rest = modules[0], modules[1:]
+    acc: dict[tuple[int, int], object] = {}
+    deleted = False
+    if rest:
+        for u, tail in group_by_first_leg(terms).items():
+            block = first.monomial(u).kron(represent_terms(tail, rest))
+            deleted |= add_into(acc, block.items())
+    else:
+        for (w,), c in terms:
+            deleted |= add_into(acc, first.monomial(w).items(), c)
+    return ExactMatrix._raw(math.prod(m.dim for m in modules), dict(acc) if deleted else acc)
 
 
 def represent(x: TensorElement, ctx: TensorContext) -> ExactMatrix:
-    """Evaluate a symbolic element to its matrix on the context (algebra morphism).
-
-    The terms are grouped by their monomials on all legs but the last:
-    rho(x) = sum_u rho(u) @ (sum_w c rho(w)) over the terms c u@w, so the
-    coefficients scale last-leg matrices and each prefix u costs one kron.
-    """
+    """The matrix of a symbolic element on the context (an algebra morphism)."""
     if x.arity != ctx.arity:
         raise ArityMismatchError(
             f"element arity {x.arity} vs context arity {ctx.arity}")
     if x.domain != ctx.domain:
         raise ArityMismatchError("element and context use different scalar domains")
-    acc: dict[tuple[int, int], object] = {}
-    deleted = False
-    for u, tail in sum_by_prefix(x, ctx.modules[-1]).items():
-        deleted |= add_into(acc, (ctx.monomial_matrix(u).kron(tail) if u else tail).items())
-    return ExactMatrix._raw(ctx.total_dim, dict(acc) if deleted else acc)
+    return represent_terms(x.items(), ctx.modules)
 
 
 # ---------------------------------------------------------------------------
@@ -578,17 +577,15 @@ def intermediate_casimirs(ctx: TensorContext,
     for legs in [(i,) for i in range(1, n + 1)] + pairs:
         m = on_legs[legs] if legs in on_legs else leg_casimir(legs, ctx)
         out["C" + "".join(map(str, legs))] = embed_legs(m, legs, ctx)
+    c13 = out["C13"]
+    out["C13_0"] = r_tilde_inverse((2, 3), ctx) * c13 * r_tilde((2, 3), ctx)
+    out["C13_0_via_r12"] = r_matrix((1, 2), ctx) * c13 * r_matrix_inverse((1, 2), ctx)
     if n == 3:
         out["C123"] = represent(extend_coproduct(casimir(ctx.domain), (1, 2, 3), 3), ctx)
-        c13 = out["C13"]
-        out["C13_0"] = r_tilde_inverse((2, 3), ctx) * c13 * r_tilde((2, 3), ctx)
-        out["C13_0_via_r12"] = r_matrix((1, 2), ctx) * c13 * r_matrix_inverse((1, 2), ctx)
         out["C13_1"] = r_tilde_inverse((1, 2), ctx) * c13 * r_tilde((1, 2), ctx)
         out["C13_1_via_r23"] = r_matrix((2, 3), ctx) * c13 * r_matrix_inverse((2, 3), ctx)
     else:
-        c13, c24 = out["C13"], out["C24"]
-        out["C13_0"] = r_tilde_inverse((2, 3), ctx) * c13 * r_tilde((2, 3), ctx)
-        out["C13_0_via_r12"] = r_matrix((1, 2), ctx) * c13 * r_matrix_inverse((1, 2), ctx)
+        c24 = out["C24"]
         out["C24_1"] = r_tilde_inverse((2, 3), ctx) * c24 * r_tilde((2, 3), ctx)
         out["C24_1_via_r34"] = r_matrix((3, 4), ctx) * c24 * r_matrix_inverse((3, 4), ctx)
     return out

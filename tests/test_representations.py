@@ -176,13 +176,14 @@ class TestRepresent:
     @DOMAINS
     @pytest.mark.parametrize("spins", [(2,), (1, 3), (2, 1, 2), (1, 2, 1, 1)])
     def test_grouped_matches_term_by_term(self, domain, spins):
-        # Products of random elements repeat leg prefixes and cancel terms.
+        # Products of random elements repeat leg prefixes and cancel terms;
+        # x - x has no terms left and must still give the full-size zero.
         rng = random.Random(len(spins))
         ctx = tensor_context(spins, domain)
         for _ in range(3):
             x = random_element(domain, len(spins), rng, max_power=1, max_k=1)
             y = random_element(domain, len(spins), rng, max_power=1, max_k=1)
-            for z in (x, x * y, x * y - y * x):
+            for z in (x, x * y, x * y - y * x, x - x):
                 reference = ExactMatrix(ctx.total_dim)
                 for key, c in z.items():
                     mono = reduce(ExactMatrix.kron, (spin_module(t, domain).monomial(m)
