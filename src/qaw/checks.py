@@ -657,19 +657,23 @@ def check_aw3(ctx: TensorContext, store: RunStore | None = None) -> list[CheckRe
     # The premises are shared setup, built before the first check's clock.
     for name in CASIMIR_OPERANDS:
         store.certified(name)
-    out = []
+    out, diffs = [], {}
     for relation in _AW3_RELATIONS:
         name = f"aw3.relation[{relation[0]},{relation[1]}]"
         t0 = time.perf_counter_ns()
         failure = _premise_failure(store, relation, name, _params(ctx), t0)
-        out.append(failure or _make_result(name, _params(ctx), [difference(relation)], t0))
+        if failure is None:
+            diffs[relation] = difference(relation)
+        out.append(failure or _make_result(name, _params(ctx), [diffs[relation]], t0))
 
+    # The calibration shares the first relation's premises, so its difference
+    # was computed above whenever they hold.
     t0 = time.perf_counter_ns()
     relation = _AW3_RELATIONS[0]
     failure = _premise_failure(store, relation, "aw3.bracket_calibration",
                                dict(_params(ctx), convention="q*xy - 1/q*yx"), t0)
     out.append(failure or _bracket_calibration(
-        "aw3.bracket_calibration", _params(ctx), difference(relation),
+        "aw3.bracket_calibration", _params(ctx), diffs[relation],
         difference(relation, reverse=True), t0))
     return out
 
@@ -689,14 +693,14 @@ def check_aw3_symbolic(domain: ScalarDomain) -> list[CheckResult]:
 
     t0 = time.perf_counter_ns()
     xy, yx = c12 * c23, c23 * c12
-    lhs = alg.q_bracket(xy, yx, qp, qm).scale(inv_qdiff)
+    diff = alg.q_bracket(xy, yx, qp, qm).scale(inv_qdiff) - rhs
     out.append(_make_result("aw3-symbolic.relation[C12,C23]",
-                            _params(domain), [lhs - rhs], t0))
+                            _params(domain), [diff], t0))
 
     t0 = time.perf_counter_ns()
     reversed_bracket = alg.q_bracket(xy, yx, qm, qp).scale(inv_qdiff)
     out.append(_bracket_calibration("aw3-symbolic.bracket_calibration", _params(domain),
-                                    lhs - rhs, reversed_bracket - rhs, t0))
+                                    diff, reversed_bracket - rhs, t0))
     return out
 
 

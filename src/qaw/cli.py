@@ -36,8 +36,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="comma-separated two_j values, e.g. 1,1,1 "
                              "(spin j enters as the integer 2j)")
     parser.add_argument("--mode", default="exact", choices=("exact", "eval"),
-                        help="exact symbolic arithmetic, or exact rational "
-                             "evaluation at random sample points")
+                        help="exact symbolic arithmetic, or evaluation at random "
+                             "sample points in residues mod 2^61 - 1, with a "
+                             "failing check group re-run there over Q")
     parser.add_argument("--points", type=int, default=20, metavar="N",
                         help="number of sample points in eval mode (default: 20)")
     parser.add_argument("--seed", type=int, default=0, metavar="S",

@@ -8,7 +8,7 @@ q**(2*m1*m2) factors never require symbolic square roots.
 
 Two value types implement it:
 
-  LaurentPoly -- sparse integer-coefficient Laurent polynomial in s
+  LaurentPoly -- integer-coefficient Laurent polynomial in s, dense by stride
   CycloFrac   -- num / prod Phi_k(s)**e_k, a LaurentPoly over a product
                  of cyclotomic polynomials; reduced by trial division by
                  the Phi_k present, never a gcd
@@ -36,6 +36,9 @@ import inspect
 import random
 from fractions import Fraction
 from functools import lru_cache, wraps
+from itertools import cycle
+from math import gcd
+from operator import add, mul, neg
 
 
 class ForbiddenPointError(ValueError):
@@ -54,10 +57,10 @@ def add_into(acc: dict, items, coeff=None) -> bool:
     """Add coeff * v (v if coeff is None) for each (key, v) of items into the
     map acc and delete each key whose sum cancels; True if one was deleted.
 
-    Every sparse map (Laurent terms, PBW terms, matrix entries) stays
-    zero-free through this rule.  The product kernels LaurentPoly.__mul__ and
-    ExactMatrix.__mul__ inline it: they are the measured hot loops of an
-    exact run, where a call per term shows.
+    Every sparse map (PBW terms, matrix entries) stays
+    zero-free through this rule.  The product kernel ExactMatrix.__mul__
+    inlines it: it is a measured hot loop of an exact run, where a call per
+    term shows.
     """
     deleted = False
     for key, v in items:
@@ -81,26 +84,40 @@ def add_into(acc: dict, items, coeff=None) -> bool:
 _new, _set = object.__new__, object.__setattr__
 
 class LaurentPoly:
-    """Integer-coefficient Laurent polynomial in s, stored sparsely.
+    """Integer-coefficient Laurent polynomial in s, stored densely by stride.
 
-    The term map never stores zero coefficients, so structural equality of
-    the maps is equality of polynomials.  Instances are immutable.
+    The value is sum(c[i] * s**(lo + i*st)) over the coefficient list c.
+    Nearly every numerator of an exact run is a polynomial in s**4 = q**2,
+    because q-integers step by q**2, so a list over the stride takes a
+    fraction of the memory of an {exponent: coefficient} map.  The form is
+    canonical: c[0] and c[-1] are nonzero, st is the gcd of the exponent
+    offsets from lo (0 for a single term), and zero is lo = st = 0 with no
+    coefficients; so equality of polynomials is equality of (lo, st, c).
+    Instances are immutable; they may share a coefficient list, which no
+    operation changes.
     """
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_lo", "_st", "_c", "_hash")
 
-    def __init__(self, terms: dict[int, int] | None = None):
-        object.__setattr__(self, "_terms", {e: c for e, c in (terms or {}).items() if c})
-        object.__setattr__(self, "_hash", None)
+    def __new__(cls, terms: dict[int, int] | None = None):
+        t = terms or {}
+        lo = min(t, default=0)
+        st = gcd(*[e - lo for e in t]) or 1
+        c = [0] * ((max(t, default=lo) - lo) // st + 1)
+        for e, v in t.items():
+            c[(e - lo) // st] = v
+        return _poly(lo, st, c)
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
 
     @classmethod
-    def _raw(cls, terms: dict[int, int]) -> LaurentPoly:
-        # Adopt a term map that already holds no zero coefficients, uncopied.
+    def _raw(cls, lo: int, st: int, c: list[int]) -> LaurentPoly:
+        # Adopt a canonical (lo, st, c), uncopied.
         self = _new(cls)
-        _set(self, "_terms", terms)
+        _set(self, "_lo", lo)
+        _set(self, "_st", st)
+        _set(self, "_c", c)
         _set(self, "_hash", None)
         return self
 
@@ -116,46 +133,40 @@ class LaurentPoly:
 
     @classmethod
     def constant(cls, c: int) -> LaurentPoly:
-        return cls({0: c})
+        return _poly(0, 0, [c])
 
     @classmethod
     def s_power(cls, k: int) -> LaurentPoly:
-        return cls({k: 1})
+        return cls._raw(k, 0, [1])
 
     @classmethod
     def q_power(cls, k: int) -> LaurentPoly:
         """q**k as a polynomial in s, i.e. s**(2k)."""
-        return cls({2 * k: 1})
+        return cls._raw(2 * k, 0, [1])
 
     # -- inspection
 
     @property
     def terms(self) -> dict[int, int]:
-        return dict(self._terms)
+        return {self._lo + i * self._st: c for i, c in enumerate(self._c) if c}
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._c
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._c)
 
     def min_exp(self) -> int:
-        if not self._terms:
-            return 0
-        return min(self._terms)
+        return self._lo
 
     def max_exp(self) -> int:
-        if not self._terms:
-            return 0
-        return max(self._terms)
+        return self._lo + self._st * (len(self._c) - 1)
 
     def leading_coefficient(self) -> int:
-        if not self._terms:
-            return 0
-        return self._terms[self.max_exp()]
+        return self._c[-1] if self._c else 0
 
     def term_count(self) -> int:
-        return len(self._terms)
+        return len(self._c) - self._c.count(0)
 
     # -- arithmetic
 
@@ -163,36 +174,41 @@ class LaurentPoly:
         if isinstance(other, int):
             other = LaurentPoly.constant(other)
         if isinstance(other, LaurentPoly):
-            return self._terms == other._terms
+            return self._c == other._c and self._lo == other._lo and self._st == other._st
         return NotImplemented
 
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
-            t = self._terms
+            lo, c = self._lo, self._c
             # A constant equals its int (the zero polynomial equals 0), so it hashes as one.
-            h = hash(t.get(0, 0)) if t.keys() <= {0} else hash(tuple(sorted(t.items())))
-            object.__setattr__(self, "_hash", h)
+            h = hash(c[0] if c else 0) if not lo and len(c) < 2 else hash((lo, self._st, *c))
+            _set(self, "_hash", h)
         return h
 
     def __add__(self, other):
-        if isinstance(other, int):
+        if other.__class__ is not LaurentPoly:
+            if not isinstance(other, int):
+                return NotImplemented
             other = LaurentPoly.constant(other)
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        out = dict(self._terms)
-        add_into(out, other._terms.items())
-        return LaurentPoly._raw(out)
+        if not (self._c and other._c):
+            return self if self._c else other
+        a, b = (self, other) if self._lo <= other._lo else (other, self)
+        g = gcd(a._st, b._st, b._lo - a._lo) or 1  # 0 for two terms of one exponent
+        # Both coefficient lists laid out at the common stride g; b starts i slots later.
+        ca, cb = _respaced(a._c, a._st // g), _respaced(b._c, b._st // g)
+        i = (b._lo - a._lo) // g
+        out = ca + [0] * (i + len(cb) - len(ca))
+        out[i:i + len(cb)] = map(add, out[i:i + len(cb)], cb)
+        return _poly(a._lo, g, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly._raw({e: -c for e, c in self._terms.items()})
+        return LaurentPoly._raw(self._lo, self._st, list(map(neg, self._c)))
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = LaurentPoly.constant(other)
-        if not isinstance(other, LaurentPoly):
+        if not isinstance(other, (int, LaurentPoly)):
             return NotImplemented
         return self + (-other)
 
@@ -201,40 +217,36 @@ class LaurentPoly:
 
     def __mul__(self, other):
         if other.__class__ is not LaurentPoly:
-            if isinstance(other, int):
-                if other == 0:
-                    return _P_ZERO
-                return LaurentPoly._raw({e: c * other for e, c in self._terms.items()})
-            if not isinstance(other, LaurentPoly):
+            if not isinstance(other, int):
                 return NotImplemented
-        a, b = self._terms, other._terms
-        if len(a) < len(b):
+            other = LaurentPoly.constant(other)
+        a, b = self, other
+        if len(a._c) < len(b._c):
             a, b = b, a
-        if not b:
-            return _P_ZERO
-        b_items = b.items()
-        if len(b) == 1:
+        if len(b._c) < 2:
+            if not b._c:
+                return _P_ZERO
             # A monomial factor shifts and scales; no coefficient can vanish.
-            (e2, c2), = b_items
-            return LaurentPoly._raw({e + e2: c * c2 for e, c in a.items()})
-        out: dict[int, int] = {}
-        get = out.get
-        for e1, c1 in a.items():
-            for e2, c2 in b_items:
-                e = e1 + e2
-                out[e] = get(e, 0) + c1 * c2
-        if 0 in out.values():
-            out = {e: c for e, c in out.items() if c}
-        return LaurentPoly._raw(out)
+            v = b._c[0]
+            c = a._c if v == 1 else list(map(v.__mul__, a._c))
+            return LaurentPoly._raw(a._lo + b._lo, a._st, c)
+        ca, cb, st = a._c, b._c, a._st
+        if st != b._st:
+            st = gcd(st, b._st)
+            ca, cb = _respaced(ca, a._st // st), _respaced(cb, b._st // st)
+        # A list convolution, with the shorter factor in the outer loop.
+        out = [0] * (len(ca) + len(cb) - 1)
+        for i, x in enumerate(cb):
+            for j, y in enumerate(ca, i):
+                out[j] += x * y
+        return _poly(a._lo + b._lo, st, out)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:
-            if len(self._terms) == 1:
-                (e, c), = self._terms.items()
-                if c in (1, -1):
-                    return LaurentPoly({e * n: 1 if c == 1 else (-1) ** (n & 1)})
+            if len(self._c) == 1 and self._c[0] in (1, -1):
+                return LaurentPoly._raw(self._lo * n, 0, [self._c[0] ** (n & 1)])
             raise ValueError("negative power of a non-unit Laurent polynomial")
         result = _P_ONE
         base = self
@@ -248,30 +260,54 @@ class LaurentPoly:
 
     def shifted(self, k: int) -> LaurentPoly:
         """Multiply by s**k."""
-        if k == 0 or not self._terms:
+        if k == 0 or not self._c:
             return self
-        return LaurentPoly._raw({e + k: c for e, c in self._terms.items()})
+        return LaurentPoly._raw(self._lo + k, self._st, self._c)
 
     def evaluate(self, s0: Fraction) -> Fraction:
-        total = Fraction(0)
-        for e, c in self._terms.items():
-            total += c * s0 ** e
-        return total
+        # Horner's rule in s0**st.
+        x, total = s0 ** self._st, Fraction(0)
+        for c in reversed(self._c):
+            total = total * x + c
+        return total * s0 ** self._lo
 
     # -- serialization
 
     def text(self) -> str:
         """Canonical text, ascending exponents: ``"3*s^-2 + 1*s^4"``."""
-        if not self._terms:
+        if not self._c:
             return "0"
-        return " + ".join(f"{self._terms[e]}*s^{e}" for e in sorted(self._terms))
+        return " + ".join(f"{c}*s^{self._lo + i * self._st}" for i, c in enumerate(self._c) if c)
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self.text()!r})"
 
 
-_P_ZERO = LaurentPoly()
-_P_ONE = LaurentPoly({0: 1})
+def _poly(lo: int, st: int, c: list[int]) -> LaurentPoly:
+    """sum(c[i] * s**(lo + i*st)) in canonical form: the ends of c trimmed of
+    zeros, and c thinned to the gcd of the offsets of its nonzero entries."""
+    if len(c) < 2 or not (c[0] and c[1] and c[-1]):
+        nz = [i for i, v in enumerate(c) if v]
+        if not nz:
+            return _P_ZERO
+        # A list, not a generator: f(*generator) leaves its resized argument
+        # tuple on the free list of its final size, which grew past 1 MiB.
+        g = gcd(*[i - nz[0] for i in nz])
+        lo, st, c = lo + nz[0] * st, st * g, c[nz[0]:nz[-1] + 1:g or 1]
+    return LaurentPoly._raw(lo, st, c)
+
+
+def _respaced(c, r: int):
+    """The coefficients c at stride st, laid out at stride st / r."""
+    if r < 2:  # r = 0 only for a single coefficient
+        return c
+    out = [0] * ((len(c) - 1) * r + 1)
+    out[::r] = c
+    return out
+
+
+_P_ZERO = LaurentPoly._raw(0, 0, [])
+_P_ONE = LaurentPoly._raw(0, 0, [1])
 
 
 def _as_poly(x) -> LaurentPoly:
@@ -282,23 +318,23 @@ def _as_poly(x) -> LaurentPoly:
     raise TypeError(f"cannot interpret {x!r} as a Laurent polynomial")
 
 
-def _divide_dense(f: LaurentPoly, d: int, tail: tuple[tuple[int, int], ...],
-                  lead: int = 1) -> LaurentPoly | None:
-    """f / g for g = lead*s**d + sum(c*s**j for j, c in tail), 0 <= j < d, or
-    None if g does not divide f: one synthetic-division pass over a dense
-    copy of f (von zur Gathen-Gerhard, Modern Computer Algebra, 2.4)."""
-    t = f._terms
-    if not t:
+def _divide_dense(f: LaurentPoly, b: LaurentPoly) -> LaurentPoly | None:
+    """f / b, or None if b does not divide f: one synthetic-division pass
+    over the coefficients of f at the common stride (von zur Gathen-Gerhard,
+    Modern Computer Algebra, 2.4).
+
+    With t = s**st, f = s**lo_f F(t) and b = s**lo_b B(t), where F(0) and
+    B(0) are nonzero, so b divides f exactly when B divides F in Z[t].
+    """
+    if not f._c:
         return f
-    lo = min(t)
-    n = max(t) - lo
-    if n < d:
-        return None
-    a = [0] * (n + 1)
-    for e, c in t.items():
-        a[e - lo] = c
-    out = {}
-    for i in range(n, d - 1, -1):
+    st = gcd(f._st, b._st) or 1
+    a = list(_respaced(f._c, f._st // st))
+    bc = _respaced(b._c, b._st // st)
+    d, lead = len(bc) - 1, bc[-1]
+    tail = [(j, v) for j, v in enumerate(bc[:d]) if v]
+    out = [0] * (len(a) - d)
+    for i in range(len(a) - 1, d - 1, -1):
         c = a[i]
         if c:
             if lead != 1:
@@ -306,24 +342,22 @@ def _divide_dense(f: LaurentPoly, d: int, tail: tuple[tuple[int, int], ...],
                 if r:
                     return None
             base = i - d
-            out[base + lo] = c
+            out[base] = c
             for j, cb in tail:
                 a[base + j] -= c * cb
     if any(a[:d]):
         return None
-    return LaurentPoly._raw(out)
+    return _poly(f._lo - b._lo, st, out)
 
 
 def laurent_divexact(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     """Exact quotient of Laurent polynomials (raises if not exact)."""
     if b.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
-    bv, d = b.min_exp(), b.max_exp() - b.min_exp()
-    tail = tuple((e - bv, c) for e, c in b._terms.items() if e - bv < d)
-    q = _divide_dense(a, d, tail, b.leading_coefficient())
+    q = _divide_dense(a, b)
     if q is None:
         raise ArithmeticError("inexact polynomial division")
-    return q.shifted(-bv)
+    return q
 
 
 # ---------------------------------------------------------------------------
@@ -393,14 +427,17 @@ def cyclotomic(k: int) -> LaurentPoly:
 
 
 @lru_cache(maxsize=None)
-def _root_table(k: int) -> tuple[int, tuple[int, ...], int, tuple[tuple[int, int], ...]]:
-    """A prime p = 1 (mod k), the powers w**0 .. w**(k-1) of a primitive
-    k-th root of unity w modulo p, and deg Phi_k with the (exponent,
-    coefficient) pairs of the lower terms of Phi_k.
+def _root_table(k: int, st: int = 1) -> tuple[int, tuple[int, ...]]:
+    """A prime p = 1 (mod k) and the powers x**0, x**1, ... of x = w**st up
+    to their period k / gcd(k, st), for w a primitive k-th root of unity
+    modulo p.
 
     The primitive k-th roots of unity mod p are exactly the roots of Phi_k
     mod p, so Phi_k | f over Z implies f(w) = 0 (mod p).
     """
+    if st != 1:
+        p, table = _root_table(k)
+        return p, tuple(table[i * st % k] for i in range(k // gcd(k, st)))
     m = (1 << 31) // k + 1
     while not _is_prime(m * k + 1):
         m += 1
@@ -415,23 +452,22 @@ def _root_table(k: int) -> tuple[int, tuple[int, ...], int, tuple[tuple[int, int
     table = [1] * k
     for i in range(1, k):
         table[i] = table[i - 1] * w % p
-    phi = cyclotomic(k)
-    d = phi.max_exp()
-    return p, tuple(table), d, tuple((e, c) for e, c in phi._terms.items() if e < d)
+    return p, tuple(table)
 
 
 def _divide_cyclotomic(f: LaurentPoly, k: int) -> LaurentPoly | None:
     """f / Phi_k if Phi_k divides f exactly, else None.
 
     A nonzero residue f(w) mod p proves that Phi_k does not divide f and
-    costs one pass over the terms of f.  A zero residue is confirmed, or
+    costs one pass over the coefficients of f.  A zero residue is confirmed, or
     refuted by a nonzero remainder, by one synthetic division by the monic
     Phi_k.
     """
-    p, table, d, tail = _root_table(k)
-    if sum(c * table[e % k] for e, c in f._terms.items()) % p:
+    p, powers = _root_table(k, f._st)
+    # f = s**lo * g(s**st) and w is a unit mod p, so f(w) = 0 iff g(w**st) = 0.
+    if sum(map(mul, f._c, cycle(powers))) % p:
         return None
-    return _divide_dense(f, d, tail)
+    return _divide_dense(f, cyclotomic(k))
 
 
 @lru_cache(maxsize=None)
@@ -452,15 +488,14 @@ def _cyclotomic_factors(f: LaurentPoly) -> tuple[int, int, tuple[tuple[int, int]
     """
     if f.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
-    shift = f.min_exp()
-    sign = 1 if f.leading_coefficient() > 0 else -1
-    rest = LaurentPoly._raw({e - shift: v * sign for e, v in f._terms.items()})
+    shift, c = f.min_exp(), f._c
+    sign = 1 if c[-1] > 0 else -1
+    rest = LaurentPoly._raw(0, f._st, c if sign == 1 else list(map(neg, c)))
     deg = rest.max_exp()
-    t = rest._terms
     # Every Phi_k is monic with constant term +-1 and (anti)palindromic, so a
     # product of them is too; this rejects most other polynomials at once,
     # and every integer content > 1, which divides the constant term.
-    if abs(t[0]) != 1 or any(t.get(deg - e) not in (v, -v) for e, v in t.items()):
+    if abs(c[0]) != 1 or any(v not in (w, -w) for v, w in zip(c, reversed(c))):
         raise NonCyclotomicError(f"{f.text()} has a non-cyclotomic factor")
     exps = []
     k = 0
@@ -530,7 +565,7 @@ class CycloFrac:
         return self.num.is_zero()
 
     def __bool__(self) -> bool:
-        return bool(self.num._terms)
+        return bool(self.num._c)
 
     def term_count(self) -> int:
         return self.num.term_count() + self.denominator().term_count()
@@ -596,7 +631,7 @@ class CycloFrac:
         if other.__class__ is not CycloFrac and (other := _lift(other)) is None:
             return NotImplemented
         a, b = self.num, other.num
-        if not a._terms or not b._terms:
+        if not a._c or not b._c:
             return _C_ZERO
         if not self.den and not other.den:
             return CycloFrac._raw(a * b)
@@ -652,7 +687,7 @@ def _exponent_tuple(exps: dict[int, int]) -> tuple[tuple[int, int], ...]:
 def _cancel(f: LaurentPoly, den: tuple[tuple[int, int], ...]) -> tuple[LaurentPoly, dict[int, int]]:
     """Divide f by each Phi_k**e of den as far as it goes; return f and what is left of den."""
     left = dict(den)
-    if len(f._terms) > 1:  # c*s^m has no cyclotomic factor
+    if len(f._c) > 1:  # c*s^m has no cyclotomic factor
         for k, e in den:
             while e and (q := _divide_cyclotomic(f, k)) is not None:
                 f, e = q, e - 1
@@ -975,8 +1010,11 @@ class ResidueDomain(ScalarDomain):
         self._s = p * pow(r, -1, RESIDUE_PRIME) % RESIDUE_PRIME
 
     def _value(self, p: LaurentPoly) -> int:
-        s = self._s
-        return sum(c * pow(s, e, RESIDUE_PRIME) for e, c in p._terms.items()) % RESIDUE_PRIME
+        # Horner's rule in s**st.
+        x, total = pow(self._s, p._st, RESIDUE_PRIME), 0
+        for c in reversed(p._c):
+            total = (total * x + c) % RESIDUE_PRIME
+        return total * pow(self._s, p._lo, RESIDUE_PRIME) % RESIDUE_PRIME
 
     def s(self, k: int):
         return Residue(pow(self._s, k, RESIDUE_PRIME))

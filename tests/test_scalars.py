@@ -1,8 +1,14 @@
+import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import qaw
 from qaw.scalars import (RESIDUE_PRIME, SYMBOLIC, CycloFrac,
                          ForbiddenPointError, LaurentPoly, NonCyclotomicError,
                          PointDomain, PoleError, ResidueDomain,
@@ -14,6 +20,29 @@ from qaw.scalars import _divide_cyclotomic, _root_table
 
 def P(terms):
     return LaurentPoly(terms)
+
+
+def _clean(t):
+    return {e: c for e, c in t.items() if c}
+
+
+def _ref_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + c
+    return _clean(out)
+
+
+def _ref_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return _clean(out)
+
+
+def _ref_text(t):
+    return " + ".join(f"{t[e]}*s^{e}" for e in sorted(t)) or "0"
 
 
 class TestLaurentPoly:
@@ -86,28 +115,125 @@ class TestLaurentPoly:
                      (P({-1: 1, 1: 1}), P({-1: 1, 1: -1})),
                      (P({-2: 1, 0: 3, 2: 1}), P({-2: 1, 0: -3, 2: 1}))]:
             for prod in (a * b, b * a):
-                assert 0 not in prod._terms.values()
-        assert (P({0: 1, 1: 1}) * P({0: 1, 1: -1}))._terms == {0: 1, 2: -1}
-        assert (P({-1: 1, 1: 1}) * P({-1: 1, 1: -1}))._terms == {-2: 1, 2: -1}
+                assert prod._c[0] and prod._c[-1]
+        # The cancelled middle terms leave no zero: the stride grows instead.
+        assert (P({0: 1, 1: 1}) * P({0: 1, 1: -1}))._c == [1, -1]
+        assert (P({-1: 1, 1: 1}) * P({-1: 1, 1: -1})).terms == {-2: 1, 2: -1}
 
     def test_product_paths_agree(self):
         # The int and monomial fast paths give what a plain double loop gives.
         rng = random.Random(3)
-
-        def reference(a, b):
-            out = {}
-            for e1, c1 in a.items():
-                for e2, c2 in b.items():
-                    out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
-            return {e: c for e, c in out.items() if c}
-
         for _ in range(200):
             a = P({rng.randint(-6, 6): rng.randint(-9, 9) for _ in range(rng.randint(0, 6))})
             m = P({rng.randint(-6, 6): rng.randint(-9, 9)})
             n = rng.randint(-9, 9)
-            assert (a * m)._terms == (m * a)._terms == reference(a._terms, m._terms)
-            assert (a * n)._terms == (n * a)._terms == reference(a._terms, {0: n})
+            assert (a * m).terms == (m * a).terms == _ref_mul(a.terms, m.terms)
+            assert (a * n).terms == (n * a).terms == _ref_mul(a.terms, {0: n})
             assert a * n == a * LaurentPoly.constant(n)
+
+
+class TestDenseForm:
+    """LaurentPoly, stored densely by exponent stride, against a plain
+    {exponent: coefficient} reference."""
+
+    STRIDES = (1, 2, 4, 12)
+
+    @staticmethod
+    def _rand(rng, stride):
+        lo = rng.randint(-30, 10)
+        return _clean({lo + stride * rng.randint(0, 6): rng.randint(-9, 9)
+                       for _ in range(rng.randint(0, 6))})
+
+    @staticmethod
+    def _assert_canonical(p, t):
+        """p holds the terms t in the canonical dense form."""
+        assert p.terms == t
+        assert p == P(t) and hash(p) == hash(P(t))
+        if not t:
+            assert (p._lo, p._st, p._c) == (0, 0, [])
+            return
+        lo = min(t)
+        assert p._lo == lo and p._c[0] and p._c[-1]
+        assert p._st == math.gcd(*[e - lo for e in t])
+        assert p.term_count() == len(t) and p.text() == _ref_text(t)
+        assert (p.min_exp(), p.max_exp(), p.leading_coefficient()) == (lo, max(t), t[max(t)])
+
+    def test_ring_operations_against_reference(self):
+        rng = random.Random(20)
+        for _ in range(400):
+            ta = self._rand(rng, rng.choice(self.STRIDES))
+            tb = self._rand(rng, rng.choice(self.STRIDES))
+            a, b, n, k = P(ta), P(tb), rng.randint(-5, 5), rng.randint(-9, 9)
+            self._assert_canonical(a, ta)
+            self._assert_canonical(a + b, _ref_add(ta, tb))
+            self._assert_canonical(a - b, _ref_add(ta, {e: -c for e, c in tb.items()}))
+            self._assert_canonical(n - a, _ref_add({0: n}, {e: -c for e, c in ta.items()}))
+            self._assert_canonical(-a, {e: -c for e, c in ta.items()})
+            self._assert_canonical(a * b, _ref_mul(ta, tb))
+            self._assert_canonical(a * n, _ref_mul(ta, {0: n}))
+            self._assert_canonical(n * a, _ref_mul(ta, {0: n}))
+            self._assert_canonical(a.shifted(k), {e + k: c for e, c in ta.items()})
+            self._assert_canonical(a ** 3, _ref_mul(ta, _ref_mul(ta, ta)))
+            s0 = Fraction(3, 2)
+            assert a.evaluate(s0) == sum(c * s0 ** e for e, c in ta.items())
+            if len(tb) > 1:  # b is not a unit, so b does not divide a*b + 1*s^k
+                assert laurent_divexact(a * b, b) == a
+                with pytest.raises(ArithmeticError):
+                    laurent_divexact(a * b + LaurentPoly.s_power(k), b)
+
+    def test_stride_grows_by_cancellation(self):
+        p = P({0: 1, 2: 1}) * P({0: 1, 2: -1})  # (1 + s^2)(1 - s^2) = 1 - s^4
+        assert (p._lo, p._st, p._c) == (0, 4, [1, -1])
+        q = P({0: 1, 4: 1, 6: 1}) - P({6: 1})
+        assert (q._lo, q._st, q._c) == (0, 4, [1, 1])
+        assert P({-8: 2, 4: 1}) ** 2 == P({-16: 4, -4: 4, 8: 1})
+
+    def test_stride_shrinks_on_mixed_parity(self):
+        p = P({0: 1, 4: 1}) + P({1: 1, 5: -1})
+        assert (p._lo, p._st, p._c) == (0, 1, [1, 1, 0, 0, 1, -1])
+        assert P({-4: 3, 8: 1}) * P({-1: 1, 2: 1}) == P({-5: 3, -2: 3, 7: 1, 10: 1})
+
+    def test_constants_equal_and_hash_as_ints(self):
+        x = P({2: 1, -2: -1})
+        for p, n in [(x - x, 0), (x + 3 - x, 3), (x * 0, 0), (-(x ** 0), -1),
+                     (P({0: 7, 4: 0}), 7), (P({4: 1}) * P({-4: -2}), -2)]:
+            assert p == n and hash(p) == hash(n) and p._st == 0
+        assert len({P({0: 5}), 5, x + 5 - x}) == 1
+        assert P({4: 1}) != 1 and P({4: 1}) == LaurentPoly.s_power(4)
+
+    def test_divide_cyclotomic_on_strided_input(self):
+        rng = random.Random(4)
+        for k in (1, 2, 4, 8, 12, 16, 24):
+            phi = cyclotomic(k)
+            for stride in self.STRIDES:
+                f = P(self._rand(rng, stride) or {0: 1})
+                s_m = LaurentPoly.s_power(rng.randint(-20, 20))
+                assert _divide_cyclotomic(f * phi, k) == f
+                assert _divide_cyclotomic(f * phi + s_m, k) is None
+
+    def test_false_zero_residue_on_strided_input(self):
+        # g = 1 + s^4 + s^8 is 1 at the primitive 8th roots of unity, so Phi_8
+        # does not divide it; p*g has residue 0 mod p, and the division refutes it.
+        p = _root_table(8)[0]
+        g = P({0: 1, 4: 1, 8: 1})
+        assert g._st == 4 and _divide_cyclotomic(g, 8) is None
+        assert _divide_cyclotomic(g * p, 8) is None
+        assert _divide_cyclotomic(g * p * cyclotomic(8), 8) == g * p
+
+
+class TestExactMemory:
+    def test_exact_all_heap_peak(self):
+        # A fresh interpreter, so that no earlier test has filled SYMBOLIC's
+        # memo; the peak counts the run, not the import.
+        code = ("import tracemalloc\n"
+                "from qaw.checks import RunConfig, run_suite\n"
+                "tracemalloc.start()\n"
+                "assert run_suite('all', RunConfig(spins=(2, 2, 2))).passed\n"
+                "print(tracemalloc.get_traced_memory()[1])\n")
+        src = str(Path(qaw.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}, check=True, timeout=120)
+        assert int(out.stdout) < 0.85 * 2 ** 20
 
 
 class TestCycloFrac:
