@@ -12,9 +12,12 @@ each rewrite strictly decreasing the number of (E, F) inversions, so the
 reduction terminates and the normal form is unique.
 
 A :class:`TensorElement` is a finite linear combination of n-fold tensor
-monomials with coefficients in the scalar domain.  Multiplication is
+monomials with coefficients in Q(s), CycloFrac values.  Multiplication is
 componentwise per tensor leg (no cross-leg signs).  Elements are immutable;
-all operations return new values.
+all operations return new values.  Everything here is computed over Q(s)
+only, and the normal-ordering tables are kept for the process; a scalar
+domain maps the coefficients into its own scalars where an element meets a
+matrix (``representations.represent``).
 
 Leg indices in the public API are 1-based, matching the usual subscript
 notation C_12, C_13, R_23 for tensor-leg placement.
@@ -25,9 +28,10 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from functools import cache
 from typing import Iterable, NamedTuple
 
-from .scalars import ScalarDomain, add_into, domain_memo
+from .scalars import SYMBOLIC, add_into
 
 
 class ArityMismatchError(ValueError):
@@ -59,10 +63,9 @@ MONO_ONE = PBWMonomial(0, 0, 0)
 class TensorElement:
     """Element of U_q(sl2)^(tensor arity) as a map from monomial tuples to scalars."""
 
-    __slots__ = ("domain", "arity", "_terms")
+    __slots__ = ("arity", "_terms")
 
-    def __init__(self, domain: ScalarDomain, arity: int,
-                 terms: dict[tuple[PBWMonomial, ...], object] | None = None):
+    def __init__(self, arity: int, terms: dict[tuple[PBWMonomial, ...], object] | None = None):
         if arity < 1:
             raise ArityMismatchError("arity must be at least 1")
         t = {}
@@ -73,7 +76,6 @@ class TensorElement:
                         f"key {key} has {len(key)} legs, expected {arity}")
                 if c:
                     t[key] = c
-        object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "_terms", t)
 
@@ -95,13 +97,12 @@ class TensorElement:
         return self._terms.items()
 
     def coefficient(self, key: tuple[PBWMonomial, ...]):
-        return self._terms.get(key, self.domain.zero)
+        return self._terms.get(key, SYMBOLIC.zero)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TensorElement):
             return NotImplemented
-        return (self.arity == other.arity and self.domain == other.domain
-                and self._terms == other._terms)
+        return self.arity == other.arity and self._terms == other._terms
 
     def __hash__(self) -> int:
         return hash((self.arity,
@@ -115,11 +116,10 @@ class TensorElement:
         self._check_compatible(other)
         out = dict(self._terms)
         add_into(out, other._terms.items())
-        return TensorElement(self.domain, self.arity, out)
+        return TensorElement(self.arity, out)
 
     def __neg__(self):
-        return TensorElement(self.domain, self.arity,
-                             {k: -c for k, c in self._terms.items()})
+        return TensorElement(self.arity, {k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, TensorElement):
@@ -128,11 +128,10 @@ class TensorElement:
 
     def scale(self, c) -> TensorElement:
         if isinstance(c, int):
-            c = self.domain.integer(c)
+            c = SYMBOLIC.integer(c)
         if not c:
-            return TensorElement(self.domain, self.arity)
-        return TensorElement(self.domain, self.arity,
-                             {k: v * c for k, v in self._terms.items()})
+            return TensorElement(self.arity)
+        return TensorElement(self.arity, {k: v * c for k, v in self._terms.items()})
 
     # -- multiplicative structure
 
@@ -143,15 +142,13 @@ class TensorElement:
 
     def tensor(self, other: TensorElement) -> TensorElement:
         """Outer tensor product: legs of ``other`` appended after ``self``."""
-        if self.domain != other.domain:
-            raise ArityMismatchError("tensor factors from different scalar domains")
         out: dict[tuple[PBWMonomial, ...], object] = {}
         for k1, c1 in self._terms.items():
             for k2, c2 in other._terms.items():
                 c = c1 * c2
                 if c:
                     out[k1 + k2] = c
-        return TensorElement(self.domain, self.arity + other.arity, out)
+        return TensorElement(self.arity + other.arity, out)
 
     # -- serialization
 
@@ -175,38 +172,34 @@ class TensorElement:
         if self.arity != other.arity:
             raise ArityMismatchError(
                 f"arity mismatch: {self.arity} vs {other.arity}")
-        if self.domain != other.domain:
-            raise ArityMismatchError("elements from different scalar domains")
 
 
 # ---------------------------------------------------------------------------
 # constructors
 # ---------------------------------------------------------------------------
 
-def unit_element(domain: ScalarDomain, arity: int = 1) -> TensorElement:
-    return TensorElement(domain, arity, {(MONO_ONE,) * arity: domain.one})
+def unit_element(arity: int = 1) -> TensorElement:
+    return TensorElement(arity, {(MONO_ONE,) * arity: SYMBOLIC.one})
 
 
-def pbw_element(domain: ScalarDomain, f: int, e: int, k: int,
-                coeff=None) -> TensorElement:
+def pbw_element(f: int, e: int, k: int, coeff=None) -> TensorElement:
     """Single arity-1 PBW term coeff * F^f E^e K^k."""
     if coeff is None:
-        coeff = domain.one
+        coeff = SYMBOLIC.one
     elif isinstance(coeff, int):
-        coeff = domain.integer(coeff)
-    return TensorElement(domain, 1, {(PBWMonomial(f, e, k),): coeff})
+        coeff = SYMBOLIC.integer(coeff)
+    return TensorElement(1, {(PBWMonomial(f, e, k),): coeff})
 
 
-def generator(domain: ScalarDomain, name: str) -> TensorElement:
+def generator(name: str) -> TensorElement:
     """One of the algebra generators "E", "F", "K" or "Kinv"."""
     table = {"E": (0, 1, 0), "F": (1, 0, 0), "K": (0, 0, 1), "Kinv": (0, 0, -1)}
     if name not in table:
         raise UnsupportedElementError(f"unknown generator {name!r}")
-    return pbw_element(domain, *table[name])
+    return pbw_element(*table[name])
 
 
-def random_element(domain: ScalarDomain, arity: int, rng: random.Random,
-                   max_power: int = 2, max_k: int = 2,
+def random_element(arity: int, rng: random.Random, max_power: int = 2, max_k: int = 2,
                    n_terms: int = 3) -> TensorElement:
     """Random bounded-degree element, for property and morphism tests."""
     terms = {}
@@ -214,48 +207,48 @@ def random_element(domain: ScalarDomain, arity: int, rng: random.Random,
         key = tuple(PBWMonomial(rng.randint(0, max_power), rng.randint(0, max_power),
                                 rng.randint(-max_k, max_k))
                     for _ in range(arity))
-        terms[key] = domain.integer(rng.randint(-4, 4))
-    return TensorElement(domain, arity, terms)
+        terms[key] = SYMBOLIC.integer(rng.randint(-4, 4))
+    return TensorElement(arity, terms)
 
 
 # ---------------------------------------------------------------------------
 # the normal-ordering engine
 # ---------------------------------------------------------------------------
 
-@domain_memo
-def _ef_terms(domain: ScalarDomain, e_pow: int, f_pow: int):
+@cache
+def _ef_terms(e_pow: int, f_pow: int):
     """PBW form of E^e_pow F^f_pow, as a tuple of (monomial, coefficient).
 
     Recursion: E F^a = F^a E + [a]_q F^(a-1) (q^(1-a) K^2 - q^(a-1) K^-2)/(q - q^-1),
     obtained by summing the defining commutator over the a positions of E.
     """
     if e_pow == 0 or f_pow == 0:
-        return ((PBWMonomial(f_pow, e_pow, 0), domain.one),)
-    prev = _ef_terms(domain, e_pow - 1, f_pow)
+        return ((PBWMonomial(f_pow, e_pow, 0), SYMBOLIC.one),)
+    q = SYMBOLIC.q
+    prev = _ef_terms(e_pow - 1, f_pow)
     # E^(e-1) * (F^a E): append E on the right of each normal-form term.
-    acc = {PBWMonomial(mono.f, mono.e + 1, mono.k): c * domain.q(mono.k)
-           for mono, c in prev}
+    acc = {PBWMonomial(mono.f, mono.e + 1, mono.k): c * q(mono.k) for mono, c in prev}
     # E^(e-1) * [a] F^(a-1) (q^(1-a) K^2 - q^(a-1) K^-2)/(q - q^-1).
     a = f_pow
-    qdiff = domain.q(1) - domain.q(-1)
-    plus = domain.q_int(a) * domain.q(1 - a) / qdiff
-    minus = domain.q_int(a) * domain.q(a - 1) / qdiff
-    lower = _ef_terms(domain, e_pow - 1, f_pow - 1)
+    qdiff = q(1) - q(-1)
+    plus = SYMBOLIC.q_int(a) * q(1 - a) / qdiff
+    minus = SYMBOLIC.q_int(a) * q(a - 1) / qdiff
+    lower = _ef_terms(e_pow - 1, f_pow - 1)
     add_into(acc, ((PBWMonomial(mono.f, mono.e, mono.k + dk), c * w)
                    for mono, c in lower for dk, w in ((2, plus), (-2, -minus))))
     return tuple(sorted(acc.items(), key=lambda kv: kv[0]))
 
 
-@domain_memo
-def _mono_mul(domain: ScalarDomain, m1: PBWMonomial, m2: PBWMonomial):
+@cache
+def _mono_mul(m1: PBWMonomial, m2: PBWMonomial):
     """Normal form of the product of two PBW monomials, as (monomial, coeff) pairs."""
     # Move K^k1 through F^f2 E^e2: picks up q^(k1*(e2 - f2)).
-    scalar = domain.q(m1.k * (m2.e - m2.f))
+    scalar = SYMBOLIC.q(m1.k * (m2.e - m2.f))
     k_total = m1.k + m2.k
     out = []
-    for mono, c in _ef_terms(domain, m1.e, m2.f):
+    for mono, c in _ef_terms(m1.e, m2.f):
         # F^f1 * (F^x E^y K^z) * E^e2 K^(k1+k2); K^z past E^e2 gives q^(z*e2).
-        coeff = c * scalar * domain.q(mono.k * m2.e)
+        coeff = c * scalar * SYMBOLIC.q(mono.k * m2.e)
         if coeff:
             out.append((PBWMonomial(m1.f + mono.f, mono.e + m2.e, mono.k + k_total),
                         coeff))
@@ -265,7 +258,6 @@ def _mono_mul(domain: ScalarDomain, m1: PBWMonomial, m2: PBWMonomial):
 def normal_order_mul(x: TensorElement, y: TensorElement) -> TensorElement:
     """Product in U_q(sl2)^(tensor n), reduced to PBW normal form in every leg."""
     x._check_compatible(y)
-    domain = x.domain
     acc: dict[tuple[PBWMonomial, ...], object] = {}
     for k1, c1 in x._terms.items():
         for k2, c2 in y._terms.items():
@@ -273,16 +265,15 @@ def normal_order_mul(x: TensorElement, y: TensorElement) -> TensorElement:
             if not base:
                 continue
             terms = []
-            for combo in itertools.product(*[_mono_mul(domain, a, b)
-                                             for a, b in zip(k1, k2)]):
+            for combo in itertools.product(*[_mono_mul(a, b) for a, b in zip(k1, k2)]):
                 key, weights = zip(*combo)
                 terms.append((key, math.prod(weights, start=base)))
             add_into(acc, terms)
-    return TensorElement(domain, x.arity, acc)
+    return TensorElement(x.arity, acc)
 
 
 def _power(x: TensorElement, n: int) -> TensorElement:
-    result = unit_element(x.domain, x.arity)
+    result = unit_element(x.arity)
     for _ in range(n):
         result = result * x
     return result
@@ -292,21 +283,21 @@ def _power(x: TensorElement, n: int) -> TensorElement:
 # distinguished elements
 # ---------------------------------------------------------------------------
 
-def casimir(domain: ScalarDomain) -> TensorElement:
+def casimir() -> TensorElement:
     """The Casimir element, already in PBW form:
 
     C = -(q - q^-1)^2/(q + q^-1) * F E  -  (q K^2 + q^-1 K^-2)/(q + q^-1).
     """
-    qdiff = domain.q(1) - domain.q(-1)
-    qsum = domain.q(1) + domain.q(-1)
-    return TensorElement(domain, 1, {
+    q = SYMBOLIC.q
+    qdiff, qsum = q(1) - q(-1), q(1) + q(-1)
+    return TensorElement(1, {
         (PBWMonomial(1, 1, 0),): -(qdiff * qdiff) / qsum,
-        (PBWMonomial(0, 0, 2),): -domain.q(1) / qsum,
-        (PBWMonomial(0, 0, -2),): -domain.q(-1) / qsum,
+        (PBWMonomial(0, 0, 2),): -q(1) / qsum,
+        (PBWMonomial(0, 0, -2),): -q(-1) / qsum,
     })
 
 
-def commutator_F_En(domain: ScalarDomain, n: int) -> TensorElement:
+def commutator_F_En(n: int) -> TensorElement:
     """Closed form of [F, E^n], written directly in PBW order.
 
     [F, E^n] = [n]_q/(q - q^-1) (q^(n-1) K^-2 - q^(1-n) K^2) E^(n-1); commuting
@@ -315,11 +306,11 @@ def commutator_F_En(domain: ScalarDomain, n: int) -> TensorElement:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    qdiff = domain.q(1) - domain.q(-1)
-    base = domain.q_int(n) / qdiff
-    return TensorElement(domain, 1, {
-        (PBWMonomial(0, n - 1, -2),): base * domain.q(-(n - 1)),
-        (PBWMonomial(0, n - 1, 2),): -base * domain.q(n - 1),
+    q = SYMBOLIC.q
+    base = SYMBOLIC.q_int(n) / (q(1) - q(-1))
+    return TensorElement(1, {
+        (PBWMonomial(0, n - 1, -2),): base * q(-(n - 1)),
+        (PBWMonomial(0, n - 1, 2),): -base * q(n - 1),
     })
 
 
@@ -327,19 +318,18 @@ def commutator_F_En(domain: ScalarDomain, n: int) -> TensorElement:
 # coproducts
 # ---------------------------------------------------------------------------
 
-@domain_memo
-def _coproduct_mono(domain: ScalarDomain, mono: PBWMonomial) -> TensorElement:
-    cop_f = TensorElement(domain, 2, {
-        (PBWMonomial(1, 0, 0), PBWMonomial(0, 0, -1)): domain.one,
-        (PBWMonomial(0, 0, 1), PBWMonomial(1, 0, 0)): domain.one,
+@cache
+def _coproduct_mono(mono: PBWMonomial) -> TensorElement:
+    one = SYMBOLIC.one
+    cop_f = TensorElement(2, {
+        (PBWMonomial(1, 0, 0), PBWMonomial(0, 0, -1)): one,
+        (PBWMonomial(0, 0, 1), PBWMonomial(1, 0, 0)): one,
     })
-    cop_e = TensorElement(domain, 2, {
-        (PBWMonomial(0, 1, 0), PBWMonomial(0, 0, -1)): domain.one,
-        (PBWMonomial(0, 0, 1), PBWMonomial(0, 1, 0)): domain.one,
+    cop_e = TensorElement(2, {
+        (PBWMonomial(0, 1, 0), PBWMonomial(0, 0, -1)): one,
+        (PBWMonomial(0, 0, 1), PBWMonomial(0, 1, 0)): one,
     })
-    cop_k = TensorElement(domain, 2, {
-        (PBWMonomial(0, 0, mono.k), PBWMonomial(0, 0, mono.k)): domain.one,
-    })
+    cop_k = TensorElement(2, {(PBWMonomial(0, 0, mono.k), PBWMonomial(0, 0, mono.k)): one})
     return _power(cop_f, mono.f) * _power(cop_e, mono.e) * cop_k
 
 
@@ -356,8 +346,7 @@ def coproduct(x: TensorElement) -> TensorElement:
 def coproduct_op(x: TensorElement) -> TensorElement:
     """Opposite comultiplication: coproduct followed by swapping the two legs."""
     cop = coproduct(x)
-    return TensorElement(x.domain, 2,
-                         {(k[1], k[0]): c for k, c in cop._terms.items()})
+    return TensorElement(2, {(k[1], k[0]): c for k, c in cop._terms.items()})
 
 
 def coproduct_on_leg(x: TensorElement, leg: int) -> TensorElement:
@@ -369,8 +358,8 @@ def coproduct_on_leg(x: TensorElement, leg: int) -> TensorElement:
     for key, c in x._terms.items():
         head, tail = key[:i], key[i + 1:]
         add_into(out, ((head + pair + tail, w)
-                       for pair, w in _coproduct_mono(x.domain, key[i]).items()), c)
-    return TensorElement(x.domain, x.arity + 1, out)
+                       for pair, w in _coproduct_mono(key[i]).items()), c)
+    return TensorElement(x.arity + 1, out)
 
 
 def extend_coproduct(x: TensorElement, legs: Iterable[int], arity: int) -> TensorElement:
@@ -396,7 +385,7 @@ def extend_coproduct(x: TensorElement, legs: Iterable[int], arity: int) -> Tenso
         new_key = tuple(key[positions[j]] if j in positions else MONO_ONE
                         for j in range(arity))
         out[new_key] = c
-    return TensorElement(x.domain, arity, out)
+    return TensorElement(arity, out)
 
 
 # ---------------------------------------------------------------------------
@@ -419,39 +408,37 @@ def q_commutator(x: TensorElement, y: TensorElement) -> TensorElement:
     suite keeps the rejected alternative as a negative check).
     """
     x._check_compatible(y)
-    return q_bracket(x * y, y * x, x.domain.q(1), x.domain.q(-1))
+    return q_bracket(x * y, y * x, SYMBOLIC.q(1), SYMBOLIC.q(-1))
 
 
-def tau_argument_elements(domain: ScalarDomain) -> dict[str, TensorElement]:
+def tau_argument_elements() -> dict[str, TensorElement]:
     """The four elements on which the left coaction has a closed form.
 
     Keys: "casimir" (C), "kinv_e" (q^-H E), "kinv_squared" (q^-2H),
     "f_kinv" (F q^-H).
     """
-    kinv = pbw_element(domain, 0, 0, -1)
-    e = generator(domain, "E")
     return {
-        "casimir": casimir(domain),
-        "kinv_e": kinv * e,
-        "kinv_squared": pbw_element(domain, 0, 0, -2),
-        "f_kinv": pbw_element(domain, 1, 0, -1),
+        "casimir": casimir(),
+        "kinv_e": pbw_element(0, 0, -1) * generator("E"),
+        "kinv_squared": pbw_element(0, 0, -2),
+        "f_kinv": pbw_element(1, 0, -1),
     }
 
 
-def _tau_image(domain: ScalarDomain, name: str) -> TensorElement:
-    one = unit_element(domain)
-    c = casimir(domain)
-    kinv = pbw_element(domain, 0, 0, -1)
-    k = pbw_element(domain, 0, 0, 1)
-    e = generator(domain, "E")
-    f = generator(domain, "F")
+def _tau_image(name: str) -> TensorElement:
+    q = SYMBOLIC.q
+    one = unit_element()
+    c = casimir()
+    kinv = pbw_element(0, 0, -1)
+    e = generator("E")
+    f = generator("F")
     kinv_e = kinv * e
     kinv_f = kinv * f
-    kinv2 = pbw_element(domain, 0, 0, -2)
-    k2 = pbw_element(domain, 0, 0, 2)
-    f_kinv = pbw_element(domain, 1, 0, -1)
-    f_k = pbw_element(domain, 1, 0, 1)
-    qdiff_sq = (domain.q(1) - domain.q(-1)) ** 2
+    kinv2 = pbw_element(0, 0, -2)
+    k2 = pbw_element(0, 0, 2)
+    f_kinv = pbw_element(1, 0, -1)
+    f_k = pbw_element(1, 0, 1)
+    qdiff_sq = (q(1) - q(-1)) ** 2
     if name == "casimir":
         return one.tensor(c)
     if name == "kinv_e":
@@ -459,8 +446,7 @@ def _tau_image(domain: ScalarDomain, name: str) -> TensorElement:
     if name == "kinv_squared":
         return one.tensor(kinv2) - kinv_f.tensor(kinv_e).scale(qdiff_sq)
     if name == "f_kinv":
-        mid = f_k.tensor(c + kinv2).scale(
-            domain.q(-1) * (domain.q(1) + domain.q(-1)))
+        mid = f_k.tensor(c + kinv2).scale(q(-1) * (q(1) + q(-1)))
         return (k2.tensor(f_kinv) + mid
                 - (f * f).tensor(kinv_e).scale(qdiff_sq))
     raise UnsupportedElementError(f"no closed form for {name!r}")
@@ -481,14 +467,14 @@ def tau_closed_form(x: TensorElement) -> TensorElement:
     """
     if x.arity != 1:
         raise ArityMismatchError("tau acts on single-leg elements")
-    for name, el in tau_argument_elements(x.domain).items():
+    for name, el in tau_argument_elements().items():
         if el == x:
-            return _tau_image(x.domain, name)
+            return _tau_image(name)
     raise UnsupportedElementError(
         "tau has a closed form only for C, q^-H E, q^-2H and F q^-H")
 
 
-def c13_zero_symbolic(domain: ScalarDomain) -> TensorElement:
+def c13_zero_symbolic() -> TensorElement:
     """The centralizing element C13^(0) built from the coaction closed forms.
 
     C13^(0) = (q^2H + C) @ tau(q^-2H) + q^2H @ tau(C)
@@ -496,14 +482,14 @@ def c13_zero_symbolic(domain: ScalarDomain) -> TensorElement:
 
     where the first factor sits on leg 1 and each tau image spans legs 2-3.
     """
-    c = casimir(domain)
-    k2 = pbw_element(domain, 0, 0, 2)
-    k_e = pbw_element(domain, 0, 0, 1) * generator(domain, "E")
-    f_k = pbw_element(domain, 1, 0, 1)
-    qdiff = domain.q(1) - domain.q(-1)
-    alpha = qdiff * qdiff / (domain.q(1) + domain.q(-1))
-    out = (k2 + c).tensor(_tau_image(domain, "kinv_squared"))
-    out = out + k2.tensor(_tau_image(domain, "casimir"))
-    cross = k_e.tensor(_tau_image(domain, "f_kinv")) \
-        + f_k.tensor(_tau_image(domain, "kinv_e"))
+    q = SYMBOLIC.q
+    c = casimir()
+    k2 = pbw_element(0, 0, 2)
+    k_e = pbw_element(0, 0, 1) * generator("E")
+    f_k = pbw_element(1, 0, 1)
+    qdiff = q(1) - q(-1)
+    alpha = qdiff * qdiff / (q(1) + q(-1))
+    out = (k2 + c).tensor(_tau_image("kinv_squared"))
+    out = out + k2.tensor(_tau_image("casimir"))
+    cross = k_e.tensor(_tau_image("f_kinv")) + f_k.tensor(_tau_image("kinv_e"))
     return out - cross.scale(alpha)

@@ -17,8 +17,12 @@ bound of sampling over Q.  A residue that is nonzero mod P proves the
 rational value nonzero, so a failure is never a false alarm.  A check group
 that fails at a point is run again there over Q (``PointDomain``), which
 supplies the exact witness and residual_terms; a denominator that is 0
-mod P runs the whole point over Q.  Eval mode rebuilds the whole pipeline
-at every point.
+mod P runs the whole point over Q.  The PBW elements are fixed before any
+representation or point is chosen, so a run builds them, and the residuals
+of the checks that compare PBW elements, once over Q(s) (``ElementStore``)
+and maps them into every point: evaluation at s0 and reduction mod P are
+ring homomorphisms away from poles, so the image of an element is what
+computing it at the point gives.  The matrices are rebuilt at every point.
 
 Checks whose residual is a polynomial in centralizer elements run on the
 lowest weight space W_low only: the weight space whose total 2m is
@@ -211,8 +215,95 @@ def _coassociativity(elems) -> list[TensorElement]:
             for x in elems]
 
 
-def check_structure(ctx: TensorContext, rng_seed: int = 0) -> list[CheckResult]:
+def _at(domain: ScalarDomain, diffs: list[TensorElement]) -> list[TensorElement]:
+    """PBW residuals over Q(s) as computed at the domain's point: each
+    coefficient mapped into the domain, the terms that vanish there dropped."""
+    return [TensorElement(d.arity, {k: domain.image(c) for k, c in d.items()}) for d in diffs]
+
+
+class ElementStore:
+    """The PBW elements of one run, and the residuals that compare them.
+
+    They lie in U_q(sl2)^(tensor n) over Q(s), fixed before any
+    representation or point, so each is built once, on first use, and every
+    context and point of the run maps the same one.  One store is built per
+    run_suite call and dropped with it, so no run sees another's elements.
+    """
+
+    def __init__(self):
+        self._trials = {}
+
+    @cached_property
+    def casimir(self):
+        return alg.casimir()
+
+    @cached_property
+    def casimir_centrality(self):
+        c = self.casimir
+        return [c * g - g * c for g in map(alg.generator, ("E", "F", "K"))]
+
+    @cached_property
+    def coassociativity(self):
+        """_coassociativity of E, F, K and C, in that order."""
+        return _coassociativity([*map(alg.generator, ("E", "F", "K")), self.casimir])
+
+    def morphism_trials(self, arity: int, rng_seed: int) -> list[tuple]:
+        """Three seeded pairs (x, y, x y) of random elements."""
+        if (arity, rng_seed) not in self._trials:
+            rng = random.Random(rng_seed)
+            # Drawn in the order x1, y1, x2, y2, x3, y3.
+            xs = [alg.random_element(arity, rng, max_power=1, max_k=1) for _ in range(6)]
+            self._trials[arity, rng_seed] = [(x, y, x * y) for x, y in zip(xs[::2], xs[1::2])]
+        return self._trials[arity, rng_seed]
+
+    @cached_property
+    def coproducts(self):
+        """(D(g), D^op(g)) for g = E, F, K."""
+        return [(alg.coproduct(g), alg.coproduct_op(g)) for g in map(alg.generator, ("E", "F", "K"))]
+
+    @cached_property
+    def diagonal_actions(self):
+        """Delta^(n-1)(g) on n = 1, 2, 3 legs, for g = E, F, K and, but on 3 legs, K^-1."""
+        return {n: [alg.extend_coproduct(alg.generator(g), tuple(range(1, n + 1)), n)
+                    for g in (("E", "F", "K") if n == 3 else ("E", "F", "K", "Kinv"))]
+                for n in (1, 2, 3)}
+
+    @cached_property
+    def tau(self):
+        """(x, tau(x), (D @ id) tau(x)) for each tau argument x, by name."""
+        out = {}
+        for name, x in alg.tau_argument_elements().items():
+            tau_x = alg.tau_closed_form(x)
+            out[name] = x, tau_x, alg.coproduct_on_leg(tau_x, 1)
+        return out
+
+    @cached_property
+    def casimir_coproducts(self):
+        """D(C) and its Sweedler placement C_(1) @ 1 @ C_(2)."""
+        return alg.coproduct(self.casimir), alg.extend_coproduct(self.casimir, (1, 3), 3)
+
+    @cached_property
+    def c13_zero(self):
+        return alg.c13_zero_symbolic()
+
+    @cached_property
+    def aw3_symbolic(self):
+        """[C12, C23]_q/(q - 1/q) - (C13_0 + C1 C3 + C2 C123), with the
+        chosen bracket and with the reversed one."""
+        c12, c23, c1, c2, c3, c123 = (alg.extend_coproduct(self.casimir, legs, 3) for legs in (
+            (1, 2), (2, 3), (1,), (2,), (3,), (1, 2, 3)))
+        qp, qm = SYMBOLIC.q(1), SYMBOLIC.q(-1)
+        inv_qdiff = SYMBOLIC.one / (qp - qm)
+        rhs = self.c13_zero + c1 * c3 + c2 * c123
+        xy, yx = c12 * c23, c23 * c12
+        return [alg.q_bracket(xy, yx, kx, ky).scale(inv_qdiff) - rhs
+                for kx, ky in ((qp, qm), (qm, qp))]
+
+
+def check_structure(ctx: TensorContext, rng_seed: int = 0,
+                    elements: ElementStore | None = None) -> list[CheckResult]:
     domain = ctx.domain
+    elements = elements or ElementStore()
     out = []
 
     for two_j in sorted(set(ctx.spins)):
@@ -222,34 +313,24 @@ def check_structure(ctx: TensorContext, rng_seed: int = 0) -> list[CheckResult]:
                                 _params(ctx), diffs, t0))
 
     t0 = time.perf_counter_ns()
-    c = alg.casimir(domain)
-    diffs = [c * alg.generator(domain, g) - alg.generator(domain, g) * c
-             for g in ("E", "F", "K")]
-    out.append(_make_result("structure.casimir_centrality", _params(ctx), diffs, t0))
+    out.append(_make_result("structure.casimir_centrality", _params(ctx),
+                            _at(domain, elements.casimir_centrality), t0))
 
     t0 = time.perf_counter_ns()
-    elems = [alg.generator(domain, "E"), alg.generator(domain, "F"),
-             alg.generator(domain, "K"), c]
     out.append(_make_result("structure.coassociativity", _params(ctx),
-                            _coassociativity(elems), t0))
+                            _at(domain, elements.coassociativity), t0))
 
     t0 = time.perf_counter_ns()
-    rng = random.Random(rng_seed)
-    diffs = []
-    for _ in range(3):
-        x = alg.random_element(domain, ctx.arity, rng, max_power=1, max_k=1)
-        y = alg.random_element(domain, ctx.arity, rng, max_power=1, max_k=1)
-        diffs.append(reps.represent(x * y, ctx)
-                     - reps.represent(x, ctx) * reps.represent(y, ctx))
-    diffs.append(reps.represent(alg.unit_element(domain, ctx.arity), ctx)
-                 - ctx.identity())
+    diffs = [reps.represent(xy, ctx) - reps.represent(x, ctx) * reps.represent(y, ctx)
+             for x, y, xy in elements.morphism_trials(ctx.arity, rng_seed)]
+    diffs.append(reps.represent(alg.unit_element(ctx.arity), ctx) - ctx.identity())
     out.append(_make_result("structure.represent_morphism",
                             _params(ctx, trials=3, seed=rng_seed), diffs, t0))
 
     for two_j in sorted(set(ctx.spins)):
         t0 = time.perf_counter_ns()
         leg = tensor_context((two_j,), domain)
-        mat = reps.represent(c, leg)
+        mat = reps.represent(elements.casimir, leg)
         oracle = reps.casimir_scalar_highest_weight(two_j, domain)
         diffs = [mat - ExactMatrix.identity(leg.total_dim, domain.one).scale(oracle)]
         out.append(_make_result(f"structure.casimir_scalar[two_j={two_j}]",
@@ -265,12 +346,13 @@ def _leg_pairs(n: int):
     return [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
 
 
-def check_rmatrix_axioms(ctx: TensorContext) -> list[CheckResult]:
+def check_rmatrix_axioms(ctx: TensorContext,
+                         elements: ElementStore | None = None) -> list[CheckResult]:
     if ctx.arity < 2:
         raise alg.ArityMismatchError("R-matrix checks need at least two legs")
     domain = ctx.domain
+    coproducts = (elements or ElementStore()).coproducts
     out = []
-    gens = [alg.generator(domain, g) for g in ("E", "F", "K")]
 
     for legs in _leg_pairs(ctx.arity):
         a, b = legs
@@ -279,14 +361,14 @@ def check_rmatrix_axioms(ctx: TensorContext) -> list[CheckResult]:
         rt = reps.r_tilde((1, 2), pair)
 
         t0 = time.perf_counter_ns()
-        diffs = [reps.represent(alg.coproduct(x), pair) * rr
-                 - rr * reps.represent(alg.coproduct_op(x), pair) for x in gens]
+        diffs = [reps.represent(cop, pair) * rr - rr * reps.represent(op, pair)
+                 for cop, op in coproducts]
         out.append(_make_result(f"rmatrix.intertwining[legs={a}{b}]",
                                 _params(ctx, legs=[a, b]), diffs, t0))
 
         t0 = time.perf_counter_ns()
-        diffs = [reps.represent(alg.coproduct_op(x), pair) * rt
-                 - rt * reps.represent(alg.coproduct(x), pair) for x in gens]
+        diffs = [reps.represent(op, pair) * rt - rt * reps.represent(cop, pair)
+                 for cop, op in coproducts]
         out.append(_make_result(f"rmatrix.opposite_intertwining[legs={a}{b}]",
                                 _params(ctx, legs=[a, b]), diffs, t0))
 
@@ -374,16 +456,18 @@ def block_slice(m: ExactMatrix, block: frozenset[int]) -> ExactMatrix:
 class RunStore:
     """Setup that the theorem and aw3 checks of one run share on a 3-leg context.
 
-    One store is built per run (per point in eval mode) and dropped with it,
-    so the memo of ``SYMBOLIC`` never holds it.  It builds the intermediate
+    One store is built per context of a run (per point in eval mode) and
+    dropped with it, so the memo of ``SYMBOLIC`` never holds it; its PBW
+    elements come from the run's ElementStore.  It builds the intermediate
     Casimirs once, and for each operand once, on first use, its centralizer
     residuals and its block on W_low.  An operand of LEG_OPERANDS is built
     as a matrix on its legs (``leg``), certified there, and embedded from
     that very matrix; the others are certified on the full space.
     """
 
-    def __init__(self, ctx: TensorContext):
+    def __init__(self, ctx: TensorContext, elements: ElementStore | None = None):
         self.ctx = ctx
+        self.elements = elements or ElementStore()
         self.lowest_weight = lowest_weight_indices(ctx)
         self._legs: dict[str, ExactMatrix] = {}
         self._residuals: dict[str, list] = {}
@@ -417,14 +501,9 @@ class RunStore:
     def _actions(self) -> dict[tuple[int, ...], list[ExactMatrix]]:
         """The diagonal action on each leg, leg pair and all legs: of E, F, K
         and, but on all legs, K^-1."""
-        d = self.ctx.domain
-        out = {}
-        for legs in ((1,), (2,), (3,), (1, 2), (2, 3), (1, 2, 3)):
-            n = len(legs)
-            gens = ("E", "F", "K") if n == 3 else ("E", "F", "K", "Kinv")
-            out[legs] = [reps.represent(alg.extend_coproduct(
-                alg.generator(d, g), tuple(range(1, n + 1)), n), self._sub(legs)) for g in gens]
-        return out
+        actions = self.elements.diagonal_actions
+        return {legs: [reps.represent(x, self._sub(legs)) for x in actions[len(legs)]]
+                for legs in ((1,), (2,), (3,), (1, 2), (2, 3), (1, 2, 3))}
 
     def centralizer_residuals(self, name: str) -> list:
         """The operand's certificate (module docstring): differences whose
@@ -434,8 +513,8 @@ class RunStore:
             mat = self.leg(name) if name in LEG_OPERANDS else self.casimirs[name]
             self._residuals[name] = [a * mat - mat * a for a in self._actions[legs]]
             if legs == (2, 3):
-                self._residuals[name] += _coassociativity(
-                    [alg.generator(self.ctx.domain, g) for g in ("E", "F", "K")])
+                # The coassociativity of E, F and K.
+                self._residuals[name] += _at(self.ctx.domain, self.elements.coassociativity[:3])
         return self._residuals[name]
 
     def certified(self, name: str) -> bool:
@@ -477,7 +556,6 @@ def check_theorem_c13(ctx: TensorContext, store: RunStore | None = None) -> list
     if ctx.arity != 3:
         raise alg.ArityMismatchError("theorem checks need exactly three legs")
     store = RunStore(ctx) if store is None else store
-    domain = ctx.domain
     ic = store.casimirs
     out = []
 
@@ -521,7 +599,7 @@ def check_theorem_c13(ctx: TensorContext, store: RunStore | None = None) -> list
         out.append(result)
 
     t0 = time.perf_counter_ns()
-    sym = reps.represent(alg.c13_zero_symbolic(domain), ctx)
+    sym = reps.represent(store.elements.c13_zero, ctx)
     out.append(_make_result("theorem.c13_0_symbolic_route", _params(ctx),
                             [sym - ic["C13_0"]], t0))
     return out
@@ -550,27 +628,27 @@ def _id_tau_matrix(x: TensorElement, ctx3: TensorContext) -> ExactMatrix:
                ExactMatrix(ctx3.total_dim))
 
 
-def check_tau(ctx2: TensorContext, ctx3: TensorContext) -> list[CheckResult]:
+def check_tau(ctx2: TensorContext, ctx3: TensorContext,
+              elements: ElementStore | None = None) -> list[CheckResult]:
     if ctx2.arity != 2 or ctx3.arity != 3:
         raise alg.ArityMismatchError("tau checks need a 2-leg and a 3-leg context")
     if ctx2.domain != ctx3.domain:
         raise alg.ArityMismatchError("contexts use different scalar domains")
     domain = ctx2.domain
+    elements = elements or ElementStore()
     out = []
-    args = alg.tau_argument_elements(domain)
 
     second_leg = tensor_context((ctx2.spins[1],), domain)
-    for name, x in args.items():
+    for name, (x, tau_x, _) in elements.tau.items():
         t0 = time.perf_counter_ns()
-        closed = reps.represent(alg.tau_closed_form(x), ctx2)
+        closed = reps.represent(tau_x, ctx2)
         conjugated = _tau_matrix(ctx2, reps.represent(x, second_leg))
         out.append(_make_result(f"tau.closed_form[{name}]",
                                 _params(ctx2), [closed - conjugated], t0))
 
-    for name, x in args.items():
+    for name, (_, tau_x, lifted) in elements.tau.items():
         t0 = time.perf_counter_ns()
-        tau_x = alg.tau_closed_form(x)
-        lhs = reps.represent(alg.coproduct_on_leg(tau_x, 1), ctx3)
+        lhs = reps.represent(lifted, ctx3)
         out.append(_make_result(f"tau.left_coaction[{name}]",
                                 _params(ctx3), [lhs - _id_tau_matrix(tau_x, ctx3)], t0))
 
@@ -587,7 +665,7 @@ def check_tau(ctx2: TensorContext, ctx3: TensorContext) -> list[CheckResult]:
     # kept because the report goldens and bench/workloads.json pin its name.
     for g in ("E", "F", "K", "C"):
         t0 = time.perf_counter_ns()
-        x = alg.casimir(domain) if g == "C" else alg.generator(domain, g)
+        x = elements.casimir if g == "C" else alg.generator(g)
         x_on_1 = reps.represent(x, tensor_context((ctx3.spins[0],), domain))
         x1 = reps.embed_legs(x_on_1, (1,), ctx3)
         tau_check = r13p * reps.embed_legs(x_on_1, (1,), pair13) * r13pi
@@ -596,8 +674,9 @@ def check_tau(ctx2: TensorContext, ctx3: TensorContext) -> list[CheckResult]:
                                 _params(ctx3), [emb * y - y * x1], t0))
 
     t0 = time.perf_counter_ns()
-    acc = _id_tau_matrix(alg.coproduct(alg.casimir(domain)), ctx3)
-    c13 = reps.represent(alg.extend_coproduct(alg.casimir(domain), (1, 3), 3), ctx3)
+    cop, sweedler = elements.casimir_coproducts
+    acc = _id_tau_matrix(cop, ctx3)
+    c13 = reps.represent(sweedler, ctx3)
     direct = reps.r_tilde_inverse((2, 3), ctx3) * c13 * reps.r_tilde((2, 3), ctx3)
     out.append(_make_result("tau.c13_via_coaction", _params(ctx3), [acc - direct], t0))
     return out
@@ -678,29 +757,18 @@ def check_aw3(ctx: TensorContext, store: RunStore | None = None) -> list[CheckRe
     return out
 
 
-def check_aw3_symbolic(domain: ScalarDomain) -> list[CheckResult]:
-    c = alg.casimir(domain)
-    c12 = alg.extend_coproduct(c, (1, 2), 3)
-    c23 = alg.extend_coproduct(c, (2, 3), 3)
-    c1 = alg.extend_coproduct(c, (1,), 3)
-    c2 = alg.extend_coproduct(c, (2,), 3)
-    c3 = alg.extend_coproduct(c, (3,), 3)
-    c123 = alg.extend_coproduct(c, (1, 2, 3), 3)
-    qp, qm = domain.q(1), domain.q(-1)
-    inv_qdiff = domain.one / (qp - qm)
-    rhs = alg.c13_zero_symbolic(domain) + c1 * c3 + c2 * c123
+def check_aw3_symbolic(domain: ScalarDomain,
+                       elements: ElementStore | None = None) -> list[CheckResult]:
+    diff, reversed_diff = _at(domain, (elements or ElementStore()).aw3_symbolic)
     out = []
 
     t0 = time.perf_counter_ns()
-    xy, yx = c12 * c23, c23 * c12
-    diff = alg.q_bracket(xy, yx, qp, qm).scale(inv_qdiff) - rhs
     out.append(_make_result("aw3-symbolic.relation[C12,C23]",
                             _params(domain), [diff], t0))
 
     t0 = time.perf_counter_ns()
-    reversed_bracket = alg.q_bracket(xy, yx, qm, qp).scale(inv_qdiff)
     out.append(_bracket_calibration("aw3-symbolic.bracket_calibration", _params(domain),
-                                    diff, reversed_bracket - rhs, t0))
+                                    diff, reversed_diff, t0))
     return out
 
 
@@ -765,27 +833,28 @@ def validate_config(name: str, config: RunConfig):
             f"suite {name!r} needs {_SUITE_ARITY[name]} spins, got {n}")
 
 
-def _suite_tasks(name: str, config: RunConfig, domain: ScalarDomain):
+def _suite_tasks(name: str, config: RunConfig, domain: ScalarDomain,
+                 elements: ElementStore):
     """The list of check-group callables for one suite run on one domain."""
     spins = config.spins
     tasks = []
     def ctx3():
         return tensor_context(spins[:3], domain)
     # Built on first use, so a re-run of one group builds only what it needs.
-    store = cache(lambda: RunStore(ctx3()))
+    store = cache(lambda: RunStore(ctx3(), elements))
 
     if name in ("structure", "all"):
-        tasks.append(lambda: check_structure(ctx3(), config.rng_seed))
+        tasks.append(lambda: check_structure(ctx3(), config.rng_seed, elements))
     if name in ("rmatrix", "all"):
-        tasks.append(lambda: check_rmatrix_axioms(ctx3()))
+        tasks.append(lambda: check_rmatrix_axioms(ctx3(), elements))
     if name in ("theorem", "all"):
         tasks.append(lambda: check_theorem_c13(store().ctx, store()))
     if name in ("tau", "all"):
         three = spins + (spins[-1],) if name == "tau" else spins[:3]
         tasks.append(lambda: check_tau(tensor_context(spins[:2], domain),
-                                       tensor_context(three, domain)))
+                                       tensor_context(three, domain), elements))
     if name in ("aw3-symbolic", "all"):
-        tasks.append(lambda: check_aw3_symbolic(domain))
+        tasks.append(lambda: check_aw3_symbolic(domain, elements))
     if name in ("aw3", "all"):
         tasks.append(lambda: check_aw3(store().ctx, store()))
     if name == "aw4" or (name == "all" and len(spins) == 4):
@@ -795,7 +864,7 @@ def _suite_tasks(name: str, config: RunConfig, domain: ScalarDomain):
     return tasks
 
 
-def _run_groups(name: str, config: RunConfig, domain: ScalarDomain,
+def _run_groups(name: str, config: RunConfig, domain: ScalarDomain, elements: ElementStore,
                 only: set[int] | None = None, setup: list[float] | None = None
                 ) -> list[list[CheckResult] | None]:
     """The results of each check group on domain; None for a group outside only.
@@ -804,7 +873,7 @@ def _run_groups(name: str, config: RunConfig, domain: ScalarDomain,
     setup[0] (ms), if setup is given.
     """
     groups = []
-    for i, task in enumerate(_suite_tasks(name, config, domain)):
+    for i, task in enumerate(_suite_tasks(name, config, domain, elements)):
         t0 = time.perf_counter_ns()
         groups.append(task() if only is None or i in only else None)
         if setup is not None and groups[-1]:
@@ -819,36 +888,39 @@ def _flat_sorted(groups) -> list[CheckResult]:
 
 
 def _run_once(name: str, config: RunConfig, domain: ScalarDomain,
-              setup: list[float] | None = None) -> list[CheckResult]:
-    return _flat_sorted(_run_groups(name, config, domain, setup=setup))
+              setup: list[float] | None = None,
+              elements: ElementStore | None = None) -> list[CheckResult]:
+    elements = elements or ElementStore()
+    return _flat_sorted(_run_groups(name, config, domain, elements, setup=setup))
 
 
-def _run_at(domain: ScalarDomain, name: str, config: RunConfig,
+def _run_at(domain: ScalarDomain, name: str, config: RunConfig, elements: ElementStore,
             only: set[int] | None = None, setup: list[float] | None = None
             ) -> list[list[CheckResult] | None]:
     """_run_groups on a point domain, whose tables are dropped when it is done."""
     try:
-        return _run_groups(name, config, domain, only, setup)
+        return _run_groups(name, config, domain, elements, only, setup)
     finally:
         domain.clear_memo()
 
 
-def _run_point(name: str, config: RunConfig, s0,
-               setup: list[float] | None = None) -> list[CheckResult]:
+def _run_point(name: str, config: RunConfig, s0, setup: list[float] | None = None,
+               elements: ElementStore | None = None) -> list[CheckResult]:
     """The checks at the sample point s0, computed mod RESIDUE_PRIME.
 
     A group with a failed check is run again at s0 over Q, and its results
     replace the residue results (their runtimes add up), so every witness
     is an exact rational one.  A denominator that is 0 mod P runs the whole
-    point over Q.
+    point over Q.  Every pass maps the run's elements.
     """
+    elements = elements or ElementStore()
     try:
-        groups = _run_at(ResidueDomain(s0), name, config, setup=setup)
+        groups = _run_at(ResidueDomain(s0), name, config, elements, setup=setup)
     except PoleError:
-        return _flat_sorted(_run_at(PointDomain(s0), name, config, setup=setup))
+        return _flat_sorted(_run_at(PointDomain(s0), name, config, elements, setup=setup))
     failed = {i for i, group in enumerate(groups) if not all(r.passed for r in group)}
     if failed:
-        rerun = _run_at(PointDomain(s0), name, config, failed, setup)
+        rerun = _run_at(PointDomain(s0), name, config, elements, failed, setup)
         for i in failed:
             spent = {r.name: r.runtime_ms for r in groups[i]}
             for r in rerun[i]:
@@ -920,8 +992,9 @@ def run_suite(name: str, config: RunConfig) -> SuiteReport:
     validate_config(name, config)
     started = time.perf_counter_ns()
     setup = [0.0]
+    elements = ElementStore()
     if config.mode == "exact":
-        results = _run_once(name, config, SYMBOLIC, setup)
+        results = _run_once(name, config, SYMBOLIC, setup, elements)
     else:
         rng = random.Random(config.rng_seed)
         runs = []
@@ -935,7 +1008,7 @@ def run_suite(name: str, config: RunConfig) -> SuiteReport:
             if s0 in used:
                 continue
             used.add(s0)
-            runs.append((f"s={s0}", _run_point(name, config, s0, setup)))
+            runs.append((f"s={s0}", _run_point(name, config, s0, setup, elements)))
         results = _merge_eval(runs, config)
     results.extend(_consistency_extras(results))
     results.sort(key=lambda r: r.name)

@@ -19,6 +19,9 @@ An ExactMatrix stores no zero entry: its sums, including those in
 ``represent``, go through ``scalars.add_into``, which deletes the entries
 that cancel, and its product kernel inlines that rule.
 
+The matrices are over a scalar domain, the context's; the PBW elements they
+represent are over Q(s), and ``represent`` maps each coefficient into the
+domain (``ScalarDomain.image``) where it scales a module's monomial matrix.
 Spin modules, tensor contexts, R-matrix cores, the split R and each module's
 monomial matrices are memoised in their scalar domain (``scalars.domain_memo``)
 and live as long as it; ``represent`` keeps none of its multi-leg products.
@@ -30,9 +33,8 @@ import itertools
 import math
 
 from .algebra import (ArityMismatchError, PBWMonomial, TensorElement,
-                      casimir, coproduct, extend_coproduct, generator,
-                      pbw_element)
-from .scalars import ScalarDomain, LaurentPoly, add_into, domain_memo
+                      casimir, coproduct, extend_coproduct, pbw_element)
+from .scalars import SYMBOLIC, ScalarDomain, LaurentPoly, add_into, domain_memo
 
 
 class InternalMismatchError(RuntimeError):
@@ -305,9 +307,10 @@ def represent_terms(terms, modules: tuple[SpinModule, ...]) -> ExactMatrix:
 
     Leg by leg, by the mixed-product rule: rho(x) = sum_u rho_1(u) @ rho(x_u)
     over the first-leg monomials u, with x_u the terms c u@w as c w.  So the
-    coefficients scale last-leg matrices, most sums happen on the last legs,
-    and each leg takes one kron per distinct u.  The size comes from the
-    modules, so an empty sum has the right one.
+    coefficients, mapped into the modules' domain, scale last-leg matrices,
+    most sums happen on the last legs, and each leg takes one kron per
+    distinct u.  The size comes from the modules, so an empty sum has the
+    right one.
     """
     first, rest = modules[0], modules[1:]
     acc: dict[tuple[int, int], object] = {}
@@ -317,8 +320,9 @@ def represent_terms(terms, modules: tuple[SpinModule, ...]) -> ExactMatrix:
             block = first.monomial(u).kron(represent_terms(tail, rest))
             deleted |= add_into(acc, block.items())
     else:
+        image = first.domain.image
         for (w,), c in terms:
-            deleted |= add_into(acc, first.monomial(w).items(), c)
+            deleted |= add_into(acc, first.monomial(w).items(), image(c))
     return ExactMatrix._raw(math.prod(m.dim for m in modules), dict(acc) if deleted else acc)
 
 
@@ -327,8 +331,6 @@ def represent(x: TensorElement, ctx: TensorContext) -> ExactMatrix:
     if x.arity != ctx.arity:
         raise ArityMismatchError(
             f"element arity {x.arity} vs context arity {ctx.arity}")
-    if x.domain != ctx.domain:
-        raise ArityMismatchError("element and context use different scalar domains")
     return represent_terms(x.items(), ctx.modules)
 
 
@@ -553,7 +555,7 @@ def leg_casimir(legs: tuple[int, ...], ctx: TensorContext) -> ExactMatrix:
     """The Casimir on one leg, or its coproduct on a leg pair, on those legs alone."""
     n = len(legs)
     sub = tensor_context(tuple(ctx.spins[i - 1] for i in legs), ctx.domain)
-    return represent(extend_coproduct(casimir(ctx.domain), tuple(range(1, n + 1)), n), sub)
+    return represent(extend_coproduct(casimir(), tuple(range(1, n + 1)), n), sub)
 
 
 def intermediate_casimirs(ctx: TensorContext,
@@ -581,7 +583,7 @@ def intermediate_casimirs(ctx: TensorContext,
     out["C13_0"] = r_tilde_inverse((2, 3), ctx) * c13 * r_tilde((2, 3), ctx)
     out["C13_0_via_r12"] = r_matrix((1, 2), ctx) * c13 * r_matrix_inverse((1, 2), ctx)
     if n == 3:
-        out["C123"] = represent(extend_coproduct(casimir(ctx.domain), (1, 2, 3), 3), ctx)
+        out["C123"] = represent(extend_coproduct(casimir(), (1, 2, 3), 3), ctx)
         out["C13_1"] = r_tilde_inverse((1, 2), ctx) * c13 * r_tilde((1, 2), ctx)
         out["C13_1_via_r23"] = r_matrix((2, 3), ctx) * c13 * r_matrix_inverse((2, 3), ctx)
     else:
@@ -604,13 +606,14 @@ def coproduct_split_r(ctx: TensorContext, side: str) -> ExactMatrix:
     A @ B with A = E q^H on leg 1 and B = D(q^-H F) on legs 2-3.  side
     "coproduct_id" is the mirror image.  The series is summed on the factors
     (``_series``), and the result is memoised in the domain, so a run builds
-    each side once.
+    each side once.  E q^H is the PBW monomial E K, and q^-H F = q F K^-1
+    by K F = q^-1 F K.
     """
     if ctx.arity != 3:
         raise ArityMismatchError("coproduct_split_r needs a 3-leg context")
     d = ctx.domain
-    kinv_f = pbw_element(d, 0, 0, -1) * generator(d, "F")
-    e_k = generator(d, "E") * pbw_element(d, 0, 0, 1)
+    kinv_f = pbw_element(1, 0, -1, SYMBOLIC.q(1))
+    e_k = pbw_element(0, 1, 1)
     if side == "id_coproduct":
         a = represent(e_k, tensor_context(ctx.spins[:1], d))
         b = represent(coproduct(kinv_f), tensor_context(ctx.spins[1:], d))

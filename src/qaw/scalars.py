@@ -21,13 +21,14 @@ and leading coefficient 1.  Every denominator the workbench produces
 is the exact scalar of the symbolic domain; any other denominator, an
 integer > 1 included, raises NonCyclotomicError.
 
-A :class:`ScalarDomain` selects what a computation runs over: the symbolic
-field (CycloFrac values), exact rational evaluation at a fixed admissible
-point s0 (Fractions), or the same point reduced modulo the prime
+A :class:`ScalarDomain` selects what the matrix layer runs over: the
+symbolic field (CycloFrac values), exact rational evaluation at a fixed
+admissible point s0 (Fractions), or the same point reduced modulo the prime
 P = 2**61 - 1 (Residue values), the last two for randomized Schwartz-Zippel
-style identity testing.  All algebra and representation code is written
-against the domain interface, so an entire verification suite can run in
-any of them.
+style identity testing.  PBW elements are computed over Q(s) only; a domain
+maps each of their coefficients into its own scalars (``ScalarDomain.image``)
+where it meets a matrix, so the representation code, and with it an entire
+verification suite, runs in any of them.
 """
 
 from __future__ import annotations
@@ -780,10 +781,14 @@ class ScalarDomain:
     produces plain Fractions obtained by substituting s = s0;
     ``ResidueDomain(s0)`` produces those Fractions reduced mod 2**61 - 1.
     Values from any domain support +, -, *, /, ==, and are falsy exactly
-    when zero, which is all the algebra and matrix layers rely on.  A domain
-    also owns the data derived over it, memoised by :func:`domain_memo`:
-    ``SYMBOLIC`` keeps it for the process, and eval mode clears a point
-    domain's memo when its point is done.
+    when zero, which is all the matrix layer relies on.  ``image`` maps a
+    PBW coefficient, a CycloFrac, into the domain: a ring homomorphism on
+    the values whose denominator does not vanish there, so mapping a
+    product gives the product of the images; a vanishing denominator
+    raises PoleError.  A domain also owns the data derived over it,
+    memoised by :func:`domain_memo`: ``SYMBOLIC`` keeps it for the
+    process, and eval mode clears a point domain's memo when its point is
+    done.
     """
 
     mode: str
@@ -814,6 +819,9 @@ class ScalarDomain:
     def from_ratio(self, num: LaurentPoly, den: LaurentPoly):
         raise NotImplementedError
 
+    def image(self, c: CycloFrac):
+        raise NotImplementedError
+
     @property
     def zero(self):
         return self.integer(0)
@@ -826,8 +834,7 @@ class ScalarDomain:
         return self.from_laurent(q_integer(n))
 
     def series_coeff(self, n: int):
-        a = r_series_coefficient(n)
-        return self.from_ratio(a.num, a.denominator())
+        return self.image(r_series_coefficient(n))
 
     def describe(self) -> str:
         raise NotImplementedError
@@ -853,6 +860,9 @@ class SymbolicDomain(ScalarDomain):
 
     def from_ratio(self, num: LaurentPoly, den: LaurentPoly):
         return CycloFrac(num, den)
+
+    def image(self, c: CycloFrac):
+        return c
 
     def describe(self) -> str:
         return "exact"
@@ -890,6 +900,9 @@ class PointDomain(ScalarDomain):
         if d == 0:
             raise PoleError(f"denominator vanishes at s = {self.s0}")
         return num.evaluate(self.s0) / d
+
+    def image(self, c: CycloFrac):
+        return c.evaluate(self.s0)
 
     def describe(self) -> str:
         return f"s={self.s0}"
@@ -1027,6 +1040,9 @@ class ResidueDomain(ScalarDomain):
 
     def from_ratio(self, num: LaurentPoly, den: LaurentPoly):
         return Residue(self._value(num)) / Residue(self._value(den))
+
+    def image(self, c: CycloFrac):
+        return self.from_ratio(c.num, c.denominator())
 
     def describe(self) -> str:
         return f"s={self.s0}"

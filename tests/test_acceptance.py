@@ -27,21 +27,21 @@ def _report(name: str, ok: bool, detail: str = ""):
     assert ok, f"{name}: {detail}"
 
 
-def _aw3_sides(domain):
-    c = casimir(domain)
+def _aw3_sides():
+    c = casimir()
     c12 = extend_coproduct(c, (1, 2), 3)
     c23 = extend_coproduct(c, (2, 3), 3)
     c1 = extend_coproduct(c, (1,), 3)
     c2 = extend_coproduct(c, (2,), 3)
     c3 = extend_coproduct(c, (3,), 3)
     c123 = extend_coproduct(c, (1, 2, 3), 3)
-    rhs = c13_zero_symbolic(domain) + c1 * c3 + c2 * c123
+    rhs = c13_zero_symbolic() + c1 * c3 + c2 * c123
     return c12, c23, rhs
 
 
 def test_symbolic_aw3_zero_element():
     t0 = time.perf_counter()
-    c12, c23, rhs = _aw3_sides(D)
+    c12, c23, rhs = _aw3_sides()
     inv_qdiff = D.one / (D.q(1) - D.q(-1))
     diff = q_commutator(c12, c23).scale(inv_qdiff) - rhs
     elapsed = time.perf_counter() - t0
@@ -96,10 +96,10 @@ def test_casimir_scalars_match_highest_weight_oracle():
     ok = True
     for two_j in range(7):
         ctx = tensor_context((two_j,), D)
-        mat = represent(casimir(D), ctx)
+        mat = represent(casimir(), ctx)
         oracle = casimir_scalar_highest_weight(two_j, D)
         ok = ok and mat == ctx.identity().scale(oracle)
-    trivial = represent(casimir(D), tensor_context((0,), D))
+    trivial = represent(casimir(), tensor_context((0,), D))
     ok = ok and trivial.entry(0, 0) == D.integer(-1) and trivial.nnz() == 1
     _report("casimir-scalars", ok, "two_j=0..6, trivial=-1")
 

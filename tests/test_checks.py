@@ -238,14 +238,17 @@ class TestResiduePoints:
         assert _without_runtime(_run_point("rmatrix", cfg, s0)) == \
             _without_runtime(_run_once("rmatrix", cfg, PointDomain(s0)))
 
-    def test_pole_mod_p_runs_the_point_over_the_rationals(self):
-        cfg = RunConfig(suite="rmatrix", spins=(3, 3, 1), mode="eval")
+    @pytest.mark.parametrize("suite, spins", [("rmatrix", (3, 3, 1)), ("all", (1, 1, 1))])
+    def test_pole_mod_p_runs_the_point_over_the_rationals(self, suite, spins):
+        # In suite all, the pole is met where a PBW coefficient with
+        # q - 1/q in its denominator is mapped into the residue domain.
+        cfg = RunConfig(suite=suite, spins=spins, mode="eval")
         s0 = Fraction(RESIDUE_PRIME + 1)  # s = 1 mod P, so q - 1/q = 0 mod P
         with pytest.raises(PoleError):
-            _run_once("rmatrix", cfg, ResidueDomain(s0))
-        results = _run_point("rmatrix", cfg, s0)
+            _run_once(suite, cfg, ResidueDomain(s0))
+        results = _run_point(suite, cfg, s0)
         assert _without_runtime(results) == \
-            _without_runtime(_run_once("rmatrix", cfg, PointDomain(s0)))
+            _without_runtime(_run_once(suite, cfg, PointDomain(s0)))
         assert all(r.passed for r in results)
 
 
@@ -301,7 +304,7 @@ class TestLowestWeightSpace:
         for rc in ((inside, outside), (outside, inside)):
             with pytest.raises(InternalMismatchError):
                 block_slice(ExactMatrix(ctx.total_dim, {rc: SYMBOLIC.one}), block)
-        delta_e = reps.represent(alg.extend_coproduct(alg.generator(SYMBOLIC, "E"),
+        delta_e = reps.represent(alg.extend_coproduct(alg.generator("E"),
                                                       (1, 2, 3), 3), ctx)
         with pytest.raises(InternalMismatchError):
             block_slice(delta_e, block)
@@ -404,6 +407,21 @@ class TestRestrictedChecks:
             assert results[name].passed == expected, name
         assert any(not r.passed for r in results.values()) == perturbed
 
+    def test_pbw_work_does_not_grow_with_the_points(self, monkeypatch):
+        # A run builds its PBW elements once over Q(s) and maps them into
+        # every point.  The first run fills the process's normal-ordering
+        # tables, so only the later two are compared.
+        calls = []
+        real = alg.normal_order_mul
+        monkeypatch.setattr(alg, "normal_order_mul", lambda x, y: calls.append(1) or real(x, y))
+        counts = []
+        for points in (1, 1, 5):
+            calls.clear()
+            assert run_suite("all", RunConfig(spins=(1, 1, 1), mode="eval",
+                                              eval_points=points)).passed
+            counts.append(len(calls))
+        assert 0 < counts[1] == counts[2]
+
     def test_one_casimir_build_per_run(self, monkeypatch):
         calls = []
         real = reps.intermediate_casimirs
@@ -424,7 +442,7 @@ class TestLegCertificates:
     def test_leg_built_operands_match_the_full_space(self, domain, spins):
         ctx = tensor_context(spins, domain)
         store = RunStore(ctx)
-        c = alg.casimir(domain)
+        c = alg.casimir()
         for name, legs in LEG_OPERANDS.items():
             assert store.certified(name), name
             expected = (reps.represent(alg.extend_coproduct(c, legs, 3), ctx) if name[0] == "C"
@@ -442,10 +460,11 @@ class TestLegCertificates:
             assert store.certified(name), name
             assert store.operand(name) == reps.embed_legs(real(store, name), legs, ctx).scale(two)
 
-    def test_legs_23_rest_on_coassociativity(self, monkeypatch):
+    @DOMAINS
+    def test_legs_23_rest_on_coassociativity(self, monkeypatch, domain):
         monkeypatch.setattr(checks, "_coassociativity", lambda elems: [
             alg.extend_coproduct(elems[0], (1, 2, 3), 3)])
-        failed = {r.name for r in check_theorem_c13(tensor_context((1, 1, 1), SYMBOLIC))
+        failed = {r.name for r in check_theorem_c13(tensor_context((1, 1, 1), domain))
                   if not r.passed}
         assert failed == {"theorem.centralizer[C23]", "theorem.central_elements_commute",
                           "theorem.conjugation_r23"}
@@ -486,7 +505,7 @@ class TestLegCertificates:
     @DOMAINS
     def test_sub_matches_an_entrywise_reference(self, domain):
         ctx = tensor_context((2, 1, 2), domain)
-        a = reps.represent(alg.extend_coproduct(alg.casimir(domain), (1, 2), 3), ctx)
+        a = reps.represent(alg.extend_coproduct(alg.casimir(), (1, 2), 3), ctx)
         b = reps.embed_legs(reps.leg_casimir((1, 2), ctx), (1, 2), ctx)
         assert a is not b and a == b
         c = b + ExactMatrix(ctx.total_dim, {(0, 0): domain.one, (0, 1): domain.one})
@@ -532,12 +551,12 @@ class TestLegFactorForms:
         ctx3 = tensor_context(spins, domain)
         pair23 = tensor_context(spins[1:], domain)
         mod1, mod3 = ctx3.modules[0], ctx3.modules[2]
-        elements = [alg.tau_closed_form(x) for x in alg.tau_argument_elements(domain).values()]
-        for x in elements + [alg.coproduct(alg.casimir(domain))]:
+        elements = [alg.tau_closed_form(x) for x in alg.tau_argument_elements().values()]
+        for x in elements + [alg.coproduct(alg.casimir())]:
             reference = ExactMatrix(ctx3.total_dim)
             for (u, v), c in x.items():
                 reference = reference + mod1.monomial(u).kron(
-                    checks._tau_matrix(pair23, mod3.monomial(v))).scale(c)
+                    checks._tau_matrix(pair23, mod3.monomial(v))).scale(domain.image(c))
             assert checks._id_tau_matrix(x, ctx3) == reference
 
     def test_split_r_is_built_once_per_run(self, monkeypatch):

@@ -87,10 +87,10 @@ def test_perturbed_tau_closed_form_coefficient(monkeypatch, spins, mode):
     # Double the coefficient of one term in each closed form.
     real = alg._tau_image
 
-    def perturbed(domain, name):
-        image = real(domain, name)
+    def perturbed(name):
+        image = real(name)
         key, c = min(image.items(), key=lambda kv: kv[0])
-        return image + TensorElement(domain, 2, {key: c})
+        return image + TensorElement(2, {key: c})
     monkeypatch.setattr(alg, "_tau_image", perturbed)
     verdicts = _verdicts(monkeypatch, ("tau",), spins, mode)
     for name in TAU_NAMES:

@@ -16,6 +16,8 @@ from qaw.scalars import (RESIDUE_PRIME, SYMBOLIC, CycloFrac,
                          q_factorial, q_integer,
                          r_series_coefficient, random_admissible_point)
 from qaw.scalars import _divide_cyclotomic, _root_table
+from qaw.algebra import (c13_zero_symbolic, casimir, tau_argument_elements,
+                         tau_closed_form)
 
 
 def P(terms):
@@ -566,3 +568,29 @@ class TestResidueDomain:
             at_one.one / (at_one.q(1) - at_one.q(-1))
         with pytest.raises(PoleError):
             ResidueDomain(Fraction(RESIDUE_PRIME, 2))
+
+
+class TestImage:
+    """ScalarDomain.image: where a PBW coefficient over Q(s) meets a matrix."""
+
+    @staticmethod
+    def _coefficients():
+        elements = [casimir(), c13_zero_symbolic()] + [
+            tau_closed_form(x) for x in tau_argument_elements().values()]
+        return [c for x in elements for _, c in x.items()]
+
+    @pytest.mark.parametrize("s0", TestResidueDomain.POINTS)
+    def test_point_and_residue_images(self, s0):
+        pt, res = PointDomain(s0), ResidueDomain(s0)
+        for c in self._coefficients():
+            assert SYMBOLIC.image(c) is c
+            assert pt.image(c) == c.evaluate(s0)
+            assert res.image(c) == res.from_ratio(c.num, c.denominator())
+            assert res.image(c).v == _mod_p(c.evaluate(s0))
+
+    def test_residue_image_at_a_pole(self):
+        at_one = ResidueDomain(Fraction(2 ** 61))  # s0 = P + 1, so q - 1/q = 0 mod P
+        inv_qdiff = CycloFrac(1, LaurentPoly({2: 1, -2: -1}))
+        assert PointDomain(Fraction(2 ** 61)).image(inv_qdiff) != 0
+        with pytest.raises(PoleError):
+            at_one.image(inv_qdiff)
