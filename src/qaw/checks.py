@@ -74,8 +74,8 @@ from . import algebra as alg
 from . import representations as reps
 from .algebra import TensorElement
 from .representations import ExactMatrix, TensorContext, tensor_context
-from .scalars import (SYMBOLIC, PointDomain, PoleError, ResidueDomain,
-                      ScalarDomain, random_admissible_point)
+from .scalars import (SAMPLE_POINT_COUNT, SYMBOLIC, PointDomain, PoleError,
+                      ResidueDomain, ScalarDomain, random_admissible_point)
 
 TOOL_VERSION = "0.1.0"
 
@@ -822,6 +822,9 @@ def validate_config(name: str, config: RunConfig):
         raise ConfigurationError(f"unknown mode {config.mode!r}")
     if config.mode == "eval" and config.eval_points < 1:
         raise ConfigurationError("eval mode needs at least one sample point")
+    if config.mode == "eval" and config.eval_points > SAMPLE_POINT_COUNT:
+        raise ConfigurationError(
+            f"eval mode has only {SAMPLE_POINT_COUNT} distinct sample points")
     if any(t < 0 for t in config.spins):
         raise ConfigurationError("spins are two_j values and must be nonnegative")
     n = len(config.spins)
@@ -929,41 +932,50 @@ def _run_point(name: str, config: RunConfig, s0, setup: list[float] | None = Non
     return _flat_sorted(groups)
 
 
-def _merge_eval(runs: list[tuple[str, list[CheckResult]]],
-                config: RunConfig) -> list[CheckResult]:
-    names = [r.name for r in runs[0][1]]
-    by_name = []
+def _eval_points(name: str, config: RunConfig, setup: list[float],
+                 elements: ElementStore):
+    """Yield (point, results) at each of the config's distinct seeded sample
+    points; validate_config keeps their number within SAMPLE_POINT_COUNT."""
+    rng = random.Random(config.rng_seed)
+    used = set()
+    while len(used) < config.eval_points:
+        s0 = random_admissible_point(rng)
+        if s0 not in used:
+            used.add(s0)
+            yield f"s={s0}", _run_point(name, config, s0, setup, elements)
+
+
+def _merge_eval(runs, config: RunConfig) -> list[CheckResult]:
+    """One result per check from the (point, results) pairs of runs.
+
+    Each point is folded into running per-check aggregates as it arrives
+    and then dropped, so runs may be a generator and memory stays flat in
+    the number of points.
+    """
+    merged: dict[str, CheckResult] = {}
+    first = None
     for point, results in runs:
         checks = {r.name: r for r in results}
-        if len(checks) != len(results) or checks.keys() != set(names):
-            raise reps.InternalMismatchError(f"checks at {runs[0][0]} and at {point} differ")
-        by_name.append((point, checks))
-    merged = []
-    for name in names:
-        per_point = [(point, checks[name]) for point, checks in by_name]
-        failed = [(p, r) for p, r in per_point if not r.passed]
-        worst = max((r.residual_terms for _, r in per_point), default=0)
-        witness = ""
-        if failed:
-            p, r = failed[0]
-            witness = f"at {p}: {r.witness}"
-        params = dict(per_point[0][1].params)
-        params.update({
-            "mode": "eval",
-            "point": "merged",
-            "points": len(per_point),
-            "seed": config.rng_seed,
-            "failed_points": len(failed),
-        })
-        merged.append(CheckResult(
-            name=name,
-            params=params,
-            passed=not failed,
-            residual_terms=worst,
-            witness=witness,
-            runtime_ms=sum(r.runtime_ms for _, r in per_point),
-        ))
-    return merged
+        if first is None:
+            first = point
+            for name, r in checks.items():
+                params = {**r.params, "mode": "eval", "point": "merged", "points": 0,
+                          "seed": config.rng_seed, "failed_points": 0}
+                merged[name] = CheckResult(name=name, params=params, passed=True,
+                                           residual_terms=0, witness="", runtime_ms=0.0)
+        if len(checks) != len(results) or checks.keys() != merged.keys():
+            raise reps.InternalMismatchError(f"checks at {first} and at {point} differ")
+        for name, r in checks.items():
+            m = merged[name]
+            m.params["points"] += 1
+            m.residual_terms = max(m.residual_terms, r.residual_terms)
+            m.runtime_ms += r.runtime_ms
+            if not r.passed:
+                if m.passed:
+                    m.passed, m.witness = False, f"at {point}: {r.witness}"
+                m.params["failed_points"] += 1
+        del results, checks
+    return list(merged.values())
 
 
 def _consistency_extras(results: list[CheckResult]) -> list[CheckResult]:
@@ -996,20 +1008,7 @@ def run_suite(name: str, config: RunConfig) -> SuiteReport:
     if config.mode == "exact":
         results = _run_once(name, config, SYMBOLIC, setup, elements)
     else:
-        rng = random.Random(config.rng_seed)
-        runs = []
-        used = set()
-        attempts = 0
-        while len(runs) < config.eval_points:
-            attempts += 1
-            if attempts > config.eval_points * 50:
-                raise ConfigurationError("could not find enough admissible points")
-            s0 = random_admissible_point(rng)
-            if s0 in used:
-                continue
-            used.add(s0)
-            runs.append((f"s={s0}", _run_point(name, config, s0, setup, elements)))
-        results = _merge_eval(runs, config)
+        results = _merge_eval(_eval_points(name, config, setup, elements), config)
     results.extend(_consistency_extras(results))
     results.sort(key=lambda r: r.name)
     for r in results:

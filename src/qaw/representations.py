@@ -34,7 +34,7 @@ import math
 
 from .algebra import (ArityMismatchError, PBWMonomial, TensorElement,
                       casimir, coproduct, extend_coproduct, pbw_element)
-from .scalars import SYMBOLIC, ScalarDomain, LaurentPoly, add_into, domain_memo
+from .scalars import SYMBOLIC, CycloFrac, ScalarDomain, LaurentPoly, add_into, domain_memo
 
 
 class InternalMismatchError(RuntimeError):
@@ -491,25 +491,23 @@ def r_matrix(legs: tuple[int, int], ctx: TensorContext,
     """The R-matrix acting on legs a < b of the context, identity elsewhere."""
     a, b = _check_leg_pair(legs, ctx)
     core = _r_core(ctx.modules[a - 1], ctx.modules[b - 1], extra_terms)
-    return embed_two_leg(core, legs, ctx)
+    return embed_legs(core, legs, ctx)
 
 
 def r_matrix_inverse(legs: tuple[int, int], ctx: TensorContext) -> ExactMatrix:
     a, b = _check_leg_pair(legs, ctx)
-    return embed_two_leg(_r_core_inverse(ctx.modules[a - 1], ctx.modules[b - 1]),
-                         legs, ctx)
+    return embed_legs(_r_core_inverse(ctx.modules[a - 1], ctx.modules[b - 1]), legs, ctx)
 
 
 def r_tilde(legs: tuple[int, int], ctx: TensorContext) -> ExactMatrix:
     """The flipped R-matrix R_21 on legs a < b (both constructions compared)."""
     a, b = _check_leg_pair(legs, ctx)
-    return embed_two_leg(_rt_core(ctx.modules[a - 1], ctx.modules[b - 1]), legs, ctx)
+    return embed_legs(_rt_core(ctx.modules[a - 1], ctx.modules[b - 1]), legs, ctx)
 
 
 def r_tilde_inverse(legs: tuple[int, int], ctx: TensorContext) -> ExactMatrix:
     a, b = _check_leg_pair(legs, ctx)
-    return embed_two_leg(_rt_core_inverse(ctx.modules[a - 1], ctx.modules[b - 1]),
-                         legs, ctx)
+    return embed_legs(_rt_core_inverse(ctx.modules[a - 1], ctx.modules[b - 1]), legs, ctx)
 
 
 def r_series_term(legs: tuple[int, int], ctx: TensorContext, n: int) -> ExactMatrix:
@@ -519,7 +517,7 @@ def r_series_term(legs: tuple[int, int], ctx: TensorContext, n: int) -> ExactMat
     d = ctx.domain
     term = _series(*_r_nilpotent(mod_a, mod_b),
                    lambda i: d.series_coeff(n) if i == n else d.zero, n, d.one)
-    return embed_two_leg(_weight_diagonal(mod_a, mod_b) * term, legs, ctx)
+    return embed_legs(_weight_diagonal(mod_a, mod_b) * term, legs, ctx)
 
 
 def permutation_operator(legs: tuple[int, int], ctx: TensorContext) -> ExactMatrix:
@@ -548,7 +546,7 @@ def casimir_scalar_highest_weight(two_j: int, domain: ScalarDomain):
     the Casimir formula collapses to -(q^(two_j+1) + q^-(two_j+1))/(q + q^-1).
     """
     num = LaurentPoly({2 * two_j + 2: -1, -2 * two_j - 2: -1})
-    return domain.from_ratio(num, LaurentPoly({2: 1, -2: 1}))
+    return domain.image(CycloFrac(num, LaurentPoly({2: 1, -2: 1})))
 
 
 def leg_casimir(legs: tuple[int, ...], ctx: TensorContext) -> ExactMatrix:

@@ -25,10 +25,13 @@ A :class:`ScalarDomain` selects what the matrix layer runs over: the
 symbolic field (CycloFrac values), exact rational evaluation at a fixed
 admissible point s0 (Fractions), or the same point reduced modulo the prime
 P = 2**61 - 1 (Residue values), the last two for randomized Schwartz-Zippel
-style identity testing.  PBW elements are computed over Q(s) only; a domain
-maps each of their coefficients into its own scalars (``ScalarDomain.image``)
-where it meets a matrix, so the representation code, and with it an entire
-verification suite, runs in any of them.
+style identity testing.  A domain is one ring map from Q(s) into its own
+scalars, ``ScalarDomain.image`` of a CycloFrac; every scalar the matrix
+layer takes from it (s**k, integers, q-integers, series coefficients) is the
+image of the matching CycloFrac.  PBW elements are computed over Q(s) only,
+and a domain maps each of their coefficients where it meets a matrix, so the
+representation code, and with it an entire verification suite, runs in any
+of them.
 """
 
 from __future__ import annotations
@@ -761,6 +764,10 @@ def check_admissible_point(s0: Fraction) -> Fraction:
     return s0
 
 
+# The number of distinct values p/r that random_admissible_point can return.
+SAMPLE_POINT_COUNT = 5704
+
+
 def random_admissible_point(rng: random.Random) -> Fraction:
     """Sample s0 = p/r with 2 <= p, r <= 97 and p != r (so s0 is admissible)."""
     while True:
@@ -775,20 +782,21 @@ def random_admissible_point(rng: random.Random) -> Fraction:
 # ---------------------------------------------------------------------------
 
 class ScalarDomain:
-    """Factory interface for the scalars a computation runs over.
+    """The scalars a computation runs over, given by one ring map from Q(s).
 
-    ``SYMBOLIC`` produces exact CycloFrac values; ``PointDomain(s0)``
-    produces plain Fractions obtained by substituting s = s0;
-    ``ResidueDomain(s0)`` produces those Fractions reduced mod 2**61 - 1.
-    Values from any domain support +, -, *, /, ==, and are falsy exactly
-    when zero, which is all the matrix layer relies on.  ``image`` maps a
-    PBW coefficient, a CycloFrac, into the domain: a ring homomorphism on
-    the values whose denominator does not vanish there, so mapping a
-    product gives the product of the images; a vanishing denominator
-    raises PoleError.  A domain also owns the data derived over it,
-    memoised by :func:`domain_memo`: ``SYMBOLIC`` keeps it for the
-    process, and eval mode clears a point domain's memo when its point is
-    done.
+    ``SYMBOLIC`` computes with exact CycloFrac values; ``PointDomain(s0)``
+    with the Fractions obtained by substituting s = s0; ``ResidueDomain(s0)``
+    with those Fractions reduced mod 2**61 - 1.  Values from any domain
+    support +, -, *, /, ==, and are falsy exactly when zero, which is all
+    the matrix layer relies on.  A domain implements ``image``, which maps a
+    CycloFrac into the domain: a ring homomorphism on the values whose
+    denominator does not vanish there, so mapping a product gives the
+    product of the images; a vanishing denominator raises PoleError.  Every
+    other scalar it hands out (s**k, q**k, integers, q-integers, R-series
+    coefficients) is the image of the matching CycloFrac.  A domain also
+    owns the data derived over it, memoised by :func:`domain_memo`:
+    ``SYMBOLIC`` keeps it for the process, and eval mode clears a point
+    domain's memo when its point is done.
     """
 
     mode: str
@@ -804,23 +812,20 @@ class ScalarDomain:
         """
         self._memo.clear()
 
-    def s(self, k: int):
-        raise NotImplementedError
-
-    def q(self, k: int):
-        return self.s(2 * k)
-
-    def integer(self, c: int):
-        raise NotImplementedError
-
-    def from_laurent(self, p: LaurentPoly):
-        raise NotImplementedError
-
-    def from_ratio(self, num: LaurentPoly, den: LaurentPoly):
-        raise NotImplementedError
-
     def image(self, c: CycloFrac):
         raise NotImplementedError
+
+    def describe(self) -> str:
+        raise NotImplementedError
+
+    def s(self, k: int):
+        return self.image(CycloFrac._raw(LaurentPoly.s_power(k)))
+
+    def q(self, k: int):
+        return self.image(CycloFrac._raw(LaurentPoly.q_power(k)))
+
+    def integer(self, c: int):
+        return self.image(CycloFrac._raw(LaurentPoly.constant(c)))
 
     @property
     def zero(self):
@@ -831,35 +836,16 @@ class ScalarDomain:
         return self.integer(1)
 
     def q_int(self, n: int):
-        return self.from_laurent(q_integer(n))
+        return self.image(CycloFrac._raw(q_integer(n)))
 
     def series_coeff(self, n: int):
         return self.image(r_series_coefficient(n))
-
-    def describe(self) -> str:
-        raise NotImplementedError
 
 
 class SymbolicDomain(ScalarDomain):
     """Exact computation over the field Q(s), in CycloFrac values."""
 
     mode = "exact"
-
-    def s(self, k: int):
-        return CycloFrac._raw(LaurentPoly.s_power(k))
-
-    def integer(self, c: int):
-        if c == 0:
-            return _C_ZERO
-        if c == 1:
-            return _C_ONE
-        return CycloFrac._raw(LaurentPoly.constant(c))
-
-    def from_laurent(self, p: LaurentPoly):
-        return CycloFrac._raw(p)
-
-    def from_ratio(self, num: LaurentPoly, den: LaurentPoly):
-        return CycloFrac(num, den)
 
     def image(self, c: CycloFrac):
         return c
@@ -877,8 +863,9 @@ class SymbolicDomain(ScalarDomain):
         return "SymbolicDomain()"
 
 
-class PointDomain(ScalarDomain):
-    """Exact rational arithmetic at a fixed admissible point s = s0."""
+class AdmissiblePointDomain(ScalarDomain):
+    """A domain that evaluates at one admissible point s = s0; two are equal
+    when they are of one type at one point."""
 
     mode = "eval"
 
@@ -886,35 +873,24 @@ class PointDomain(ScalarDomain):
         super().__init__()
         self.s0 = check_admissible_point(s0)
 
-    def s(self, k: int):
-        return self.s0 ** k
-
-    def integer(self, c: int):
-        return Fraction(c)
-
-    def from_laurent(self, p: LaurentPoly):
-        return p.evaluate(self.s0)
-
-    def from_ratio(self, num: LaurentPoly, den: LaurentPoly):
-        d = den.evaluate(self.s0)
-        if d == 0:
-            raise PoleError(f"denominator vanishes at s = {self.s0}")
-        return num.evaluate(self.s0) / d
-
-    def image(self, c: CycloFrac):
-        return c.evaluate(self.s0)
-
     def describe(self) -> str:
         return f"s={self.s0}"
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, PointDomain) and self.s0 == other.s0
+        return type(other) is type(self) and self.s0 == other.s0
 
     def __hash__(self) -> int:
-        return hash((PointDomain, self.s0))
+        return hash((type(self), self.s0))
 
     def __repr__(self) -> str:
-        return f"PointDomain({self.s0!r})"
+        return f"{type(self).__name__}({self.s0!r})"
+
+
+class PointDomain(AdmissiblePointDomain):
+    """Exact rational arithmetic at a fixed admissible point s = s0."""
+
+    def image(self, c: CycloFrac):
+        return c.evaluate(self.s0)
 
 
 # ---------------------------------------------------------------------------
@@ -1002,7 +978,7 @@ def _as_residue(x) -> Residue | None:
     return Residue(x % RESIDUE_PRIME) if isinstance(x, int) else None
 
 
-class ResidueDomain(ScalarDomain):
+class ResidueDomain(AdmissiblePointDomain):
     """Arithmetic in Z/P at an admissible point s0 = p/r, mapped to p * r^-1 mod P.
 
     Every value is the rational value at s0 reduced mod P, the reduction
@@ -1012,11 +988,8 @@ class ResidueDomain(ScalarDomain):
     be a false zero, as for any sample point.
     """
 
-    mode = "eval"
-
     def __init__(self, s0: Fraction):
-        super().__init__()
-        self.s0 = check_admissible_point(s0)
+        super().__init__(s0)
         p, r = self.s0.numerator % RESIDUE_PRIME, self.s0.denominator % RESIDUE_PRIME
         if not p or not r:
             raise PoleError(f"s = {self.s0} has no invertible image mod 2^61-1")
@@ -1029,32 +1002,10 @@ class ResidueDomain(ScalarDomain):
             total = (total * x + c) % RESIDUE_PRIME
         return total * pow(self._s, p._lo, RESIDUE_PRIME) % RESIDUE_PRIME
 
-    def s(self, k: int):
-        return Residue(pow(self._s, k, RESIDUE_PRIME))
-
-    def integer(self, c: int):
-        return Residue(c % RESIDUE_PRIME)
-
-    def from_laurent(self, p: LaurentPoly):
-        return Residue(self._value(p))
-
-    def from_ratio(self, num: LaurentPoly, den: LaurentPoly):
-        return Residue(self._value(num)) / Residue(self._value(den))
-
     def image(self, c: CycloFrac):
-        return self.from_ratio(c.num, c.denominator())
-
-    def describe(self) -> str:
-        return f"s={self.s0}"
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ResidueDomain) and self.s0 == other.s0
-
-    def __hash__(self) -> int:
-        return hash((ResidueDomain, self.s0))
-
-    def __repr__(self) -> str:
-        return f"ResidueDomain({self.s0!r})"
+        v = Residue(self._value(c.num))
+        # A polynomial value, s**k and every integer among them, needs no inverse.
+        return v / Residue(self._value(c.denominator())) if c.den else v
 
 
 SYMBOLIC = SymbolicDomain()

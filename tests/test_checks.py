@@ -100,6 +100,10 @@ class TestRunSuite:
     def test_eval_points_validation(self):
         with pytest.raises(ConfigurationError):
             run_suite("aw3", RunConfig(suite="aw3", mode="eval", eval_points=0))
+        # There are 5704 distinct sample points; asking for more fails before any is run.
+        checks.validate_config("aw3", RunConfig(suite="aw3", mode="eval", eval_points=5704))
+        with pytest.raises(ConfigurationError):
+            run_suite("aw3", RunConfig(suite="aw3", mode="eval", eval_points=5705))
 
     def test_tau_suite_two_spins(self):
         report = run_suite("tau", RunConfig(suite="tau", spins=(1, 2)))
@@ -199,6 +203,21 @@ class TestEvalMode:
 
     def test_point_tables_are_freed_without_the_cyclic_collector(self):
         assert self._alive_after_eval_run("gc.disable()", "") == "0"
+
+    def test_live_results_stay_flat_in_the_point_count(self, monkeypatch):
+        # Each point is folded into the per-check aggregates as it finishes, so
+        # the CheckResults alive when a point starts do not grow with the points run.
+        live = []
+        real = checks._run_point
+
+        def counting(*args):
+            gc.collect()
+            live.append(sum(isinstance(o, CheckResult) for o in gc.get_objects()))
+            return real(*args)
+
+        monkeypatch.setattr(checks, "_run_point", counting)
+        assert run_suite("all", RunConfig(spins=(1, 1, 1), mode="eval", eval_points=20)).passed
+        assert len(live) == 20 and len(set(live[1:])) == 1
 
     def test_report_runtimes_are_whole_milliseconds(self):
         cfg = RunConfig(suite="aw3-symbolic", mode="eval", eval_points=2)

@@ -54,6 +54,13 @@ class TestParseArgs:
             parse_args(["--mode", "eval", "--points", "0"])
         assert exc.value.code == 2
 
+    def test_points_beyond_the_sample_set_are_a_usage_error(self):
+        # parse_args validates without running: 5704 distinct sample points exist.
+        assert parse_args(["--mode", "eval", "--points", "5704"]).eval_points == 5704
+        with pytest.raises(SystemExit) as exc:
+            parse_args(["--mode", "eval", "--points", "5705"])
+        assert exc.value.code == 2
+
     def test_bad_spins_string(self):
         with pytest.raises(SystemExit) as exc:
             parse_args(["--spins", "1,x,1"])

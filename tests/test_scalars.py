@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import qaw
-from qaw.scalars import (RESIDUE_PRIME, SYMBOLIC, CycloFrac,
+from qaw.scalars import (RESIDUE_PRIME, SAMPLE_POINT_COUNT, SYMBOLIC, CycloFrac,
                          ForbiddenPointError, LaurentPoly, NonCyclotomicError,
                          PointDomain, PoleError, ResidueDomain,
                          check_admissible_point, cyclotomic, laurent_divexact,
@@ -288,7 +288,7 @@ class TestCycloFrac:
         x = SYMBOLIC.one / (SYMBOLIC.q(1) - SYMBOLIC.q(-1))
         assert (x.num, x.den) == (P({2: 1}), ((1, 1), (2, 1), (4, 1)))
         assert x == CycloFrac(1, self.QDIFF)
-        assert x * SYMBOLIC.from_laurent(self.QDIFF) == SYMBOLIC.one
+        assert x * SYMBOLIC.image(CycloFrac(self.QDIFF)) == SYMBOLIC.one
         # 4(1 + s^2)/(s^4 - 1): the common Phi_4 cancels, the content 4 stays.
         assert CycloFrac(P({0: 4, 2: 4}), P({0: -1, 4: 1})).text() == "(4*s^0)/(-1*s^0 + 1*s^2)"
 
@@ -382,18 +382,18 @@ class TestCycloFrac:
         assert x.text() == "(3*s^-2 + 1*s^4)/(1*s^0 + 1*s^2)"
 
     def test_non_cyclotomic_division_raises(self):
-        bad = SYMBOLIC.from_laurent(P({0: 1, 1: 2}))
+        bad = CycloFrac(P({0: 1, 1: 2}))
         with pytest.raises(NonCyclotomicError):
             SYMBOLIC.one / bad
         with pytest.raises(NonCyclotomicError):
-            SYMBOLIC.from_ratio(LaurentPoly.one(), P({0: 1, 1: 3, 2: 1}))
+            CycloFrac(LaurentPoly.one(), P({0: 1, 1: 3, 2: 1}))
         # An integer > 1 in a denominator is not cyclotomic either.
         for bad_value in (lambda: CycloFrac(1, 2),
                           lambda: CycloFrac(P({0: 4}), P({0: 6})),
                           lambda: CycloFrac(1, P({1: 2, 0: -2})),  # 2(s - 1)
                           lambda: CycloFrac(2).inverse(),
                           lambda: SYMBOLIC.one / SYMBOLIC.integer(2),
-                          lambda: SYMBOLIC.from_ratio(LaurentPoly.one(), LaurentPoly.constant(3))):
+                          lambda: CycloFrac(LaurentPoly.one(), LaurentPoly.constant(3))):
             with pytest.raises(NonCyclotomicError):
                 bad_value()
 
@@ -504,6 +504,25 @@ class TestDomains:
         assert PointDomain(Fraction(5, 3)) == PointDomain(Fraction(5, 3))
         assert hash(PointDomain(Fraction(5, 3))) == hash(PointDomain(Fraction(5, 3)))
         assert PointDomain(Fraction(5, 3)) != SYMBOLIC
+        assert repr(PointDomain(Fraction(5, 3))) == "PointDomain(Fraction(5, 3))"
+        assert repr(ResidueDomain(Fraction(5, 3))) == "ResidueDomain(Fraction(5, 3))"
+
+    @pytest.mark.parametrize("domain", [SYMBOLIC, PointDomain(Fraction(5, 3)),
+                                        ResidueDomain(Fraction(5, 3))], ids=repr)
+    def test_scalars_are_images(self, domain):
+        # Each scalar a domain hands out is the image of its CycloFrac.
+        for k in range(-5, 6):
+            assert domain.s(k) == domain.image(CycloFrac(LaurentPoly.s_power(k))) \
+                == domain.s(1) ** k
+            assert domain.q(k) == domain.image(CycloFrac(LaurentPoly.q_power(k))) \
+                == domain.s(2 * k)
+            assert domain.integer(k) == domain.image(CycloFrac(k))
+        assert domain.zero == domain.image(CycloFrac(0)) and not domain.zero
+        assert domain.one == domain.image(CycloFrac(1)) == domain.one * domain.one
+        for n in range(8):
+            assert domain.q_int(n) == domain.image(CycloFrac(q_integer(n)))
+            assert domain.series_coeff(n) == domain.image(r_series_coefficient(n))
+        assert type(domain.s(1)) is type(domain.series_coeff(2)) is type(domain.zero)
 
 
 def _mod_p(x: Fraction) -> int:
@@ -518,8 +537,7 @@ class TestResidueDomain:
     POINTS = (Fraction(5, 3), Fraction(51, 55), Fraction(2, 97), Fraction(-7, 4), Fraction(96, 95))
 
     def test_matches_point_domain_mod_p(self):
-        # PointDomain's Fraction values, reduced mod P, are the reference.  Both
-        # domains take any denominator, so each is scaled by an integer too.
+        # PointDomain's Fraction values, reduced mod P, are the reference.
         rng = random.Random(13)
         gen = TestCycloFrac()
         for s0 in self.POINTS:
@@ -528,13 +546,13 @@ class TestResidueDomain:
                 values = []
                 for x in (gen._pair(rng), gen._pair(rng),
                           gen._pair(rng, cyclotomic_num=True)):
-                    num, den = x.num, x.denominator() * rng.choice([1, 2, 3, 6])
-                    values.append((res.from_ratio(num, den), pt.from_ratio(num, den)))
+                    values.append((res.image(x), pt.image(x)))
                     assert values[-1][0].v == _mod_p(values[-1][1])
                 (a, fa), (b, fb), (u, fu) = values
-                poly = LaurentPoly({rng.randint(-6, 6): rng.randint(-9, 9) for _ in range(4)})
+                poly = CycloFrac(LaurentPoly({rng.randint(-6, 6): rng.randint(-9, 9)
+                                              for _ in range(4)}))
                 n = rng.randint(-3, 3)
-                pairs = [(res.from_laurent(poly), pt.from_laurent(poly)),
+                pairs = [(res.image(poly), pt.image(poly)),
                          (a + b, fa + fb), (a - b, fa - fb), (a * b, fa * fb),
                          (a / u, fa / fu), (u ** n, fu ** n), (-a, -fa),
                          (3 + a, 3 + fa), (a - 5, fa - 5), (2 - a, 2 - fa),
@@ -555,6 +573,7 @@ class TestResidueDomain:
     def test_distinct_sample_points_have_distinct_residues(self):
         points = {Fraction(p, r) for p in range(2, 98) for r in range(2, 98) if p != r}
         assert len({ResidueDomain(s0).s(1).v for s0 in points}) == len(points) == 5704
+        assert SAMPLE_POINT_COUNT == len(points)
 
     def test_zero_denominator_mod_p_is_a_pole(self):
         assert pow(ORDER_THREE, 3, RESIDUE_PRIME) == 1 != ORDER_THREE
@@ -585,7 +604,8 @@ class TestImage:
         for c in self._coefficients():
             assert SYMBOLIC.image(c) is c
             assert pt.image(c) == c.evaluate(s0)
-            assert res.image(c) == res.from_ratio(c.num, c.denominator())
+            assert res.image(c) * res.image(CycloFrac(c.denominator())) == \
+                res.image(CycloFrac(c.num))
             assert res.image(c).v == _mod_p(c.evaluate(s0))
 
     def test_residue_image_at_a_pole(self):
