@@ -20,7 +20,7 @@ from .algebra import (PBWMonomial, TensorElement, ArityMismatchError,
                       tau_argument_elements, c13_zero_symbolic,
                       pbw_element, generator, unit_element,
                       random_element)
-from .representations import (ExactMatrix, SpinModule, TensorContext,
+from .representations import (ExactMatrix, ResidueMatrix, SpinModule, TensorContext,
                               InternalMismatchError, spin_module,
                               tensor_context, represent, r_matrix,
                               r_matrix_inverse, r_tilde, r_tilde_inverse,

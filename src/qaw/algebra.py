@@ -283,10 +283,13 @@ def _power(x: TensorElement, n: int) -> TensorElement:
 # distinguished elements
 # ---------------------------------------------------------------------------
 
+@cache
 def casimir() -> TensorElement:
     """The Casimir element, already in PBW form:
 
     C = -(q - q^-1)^2/(q + q^-1) * F E  -  (q K^2 + q^-1 K^-2)/(q + q^-1).
+
+    Built once and kept for the process, as the normal-ordering tables are.
     """
     q = SYMBOLIC.q
     qdiff, qsum = q(1) - q(-1), q(1) + q(-1)
@@ -386,6 +389,12 @@ def extend_coproduct(x: TensorElement, legs: Iterable[int], arity: int) -> Tenso
                         for j in range(arity))
         out[new_key] = c
     return TensorElement(arity, out)
+
+
+@cache
+def casimir_coproduct(n: int) -> TensorElement:
+    """Delta^(n-1)(C), the Casimir spread over n legs; kept for the process."""
+    return extend_coproduct(casimir(), tuple(range(1, n + 1)), n)
 
 
 # ---------------------------------------------------------------------------

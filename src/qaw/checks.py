@@ -10,10 +10,11 @@ Suites run either in exact mode (over the symbolic field Q(s)) or in eval
 mode, where the whole computation is repeated at seeded random admissible
 sample points s0 = p/r; a nonzero rational function is nonzero at almost
 every point, so eval mode reproduces exact verdicts.  Each point is computed
-in residues mod the prime P = 2**61 - 1 (``ResidueDomain``).  A residual F/G
-whose numerator F is not 0 mod P reads 0 mod P at no more than deg F of the
-5704 distinct sample points, which have distinct residues: the deg F / |S|
-bound of sampling over Q.  A residue that is nonzero mod P proves the
+in residues mod the prime P = 2**61 - 1 (``ResidueDomain``): plain ints,
+which only the residue matrix kernel (``ResidueMatrix``) combines.  A
+residual F/G whose numerator F is not 0 mod P reads 0 mod P at no more than
+deg F of the 5704 distinct sample points, which have distinct residues: the
+deg F / |S| bound of sampling over Q.  A residue that is nonzero mod P proves the
 rational value nonzero, so a failure is never a false alarm.  A check group
 that fails at a point is run again there over Q (``PointDomain``), which
 supplies the exact witness and residual_terms; a denominator that is 0
@@ -293,10 +294,9 @@ class ElementStore:
         c12, c23, c1, c2, c3, c123 = (alg.extend_coproduct(self.casimir, legs, 3) for legs in (
             (1, 2), (2, 3), (1,), (2,), (3,), (1, 2, 3)))
         qp, qm = SYMBOLIC.q(1), SYMBOLIC.q(-1)
-        inv_qdiff = SYMBOLIC.one / (qp - qm)
         rhs = self.c13_zero + c1 * c3 + c2 * c123
         xy, yx = c12 * c23, c23 * c12
-        return [alg.q_bracket(xy, yx, kx, ky).scale(inv_qdiff) - rhs
+        return [alg.q_bracket(xy, yx, kx, ky).scale(SYMBOLIC.q_diff_inverse()) - rhs
                 for kx, ky in ((qp, qm), (qm, qp))]
 
 
@@ -332,7 +332,7 @@ def check_structure(ctx: TensorContext, rng_seed: int = 0,
         leg = tensor_context((two_j,), domain)
         mat = reps.represent(elements.casimir, leg)
         oracle = reps.casimir_scalar_highest_weight(two_j, domain)
-        diffs = [mat - ExactMatrix.identity(leg.total_dim, domain.one).scale(oracle)]
+        diffs = [mat - leg.identity().scale(oracle)]
         out.append(_make_result(f"structure.casimir_scalar[two_j={two_j}]",
                                 _params(ctx), diffs, t0))
     return out
@@ -450,7 +450,7 @@ def block_slice(m: ExactMatrix, block: frozenset[int]) -> ExactMatrix:
                 f"entry ({r}, {c}) couples the block to its complement")
         if inside:
             out[(r, c)] = v
-    return ExactMatrix._raw(m.dim, out)
+    return m._raw(m.dim, out)
 
 
 class RunStore:
@@ -625,7 +625,7 @@ def _id_tau_matrix(x: TensorElement, ctx3: TensorContext) -> ExactMatrix:
     first, last = ctx3.modules[0], ctx3.modules[2:]
     return sum((first.monomial(u).kron(_tau_matrix(pair23, reps.represent_terms(tail, last)))
                 for u, tail in reps.group_by_first_leg(x.items()).items()),
-               ExactMatrix(ctx3.total_dim))
+               ctx3.matrix(ctx3.total_dim))
 
 
 def check_tau(ctx2: TensorContext, ctx3: TensorContext,
@@ -718,8 +718,7 @@ def check_aw3(ctx: TensorContext, store: RunStore | None = None) -> list[CheckRe
         raise alg.ArityMismatchError("AW(3) checks need exactly three legs")
     store = RunStore(ctx) if store is None else store
     domain = ctx.domain
-    qp, qm = domain.q(1), domain.q(-1)
-    inv_qdiff = domain.one / (qp - qm)
+    qp, qm, inv_qdiff = domain.q(1), domain.q(-1), domain.q_diff_inverse()
     products: dict[tuple[str, str], ExactMatrix] = {}
 
     def prod(a, b):
@@ -799,7 +798,7 @@ def negative_control_check(domain: ScalarDomain) -> CheckResult:
     """A deliberately corrupted generator matrix; must FAIL (nonzero residual)."""
     t0 = time.perf_counter_ns()
     mod = reps.spin_module(1, domain)
-    bad = mod.e + ExactMatrix(mod.dim, {(0, 0): domain.one})
+    bad = mod.e + mod.matrix(mod.dim, {(0, 0): domain.one})
     diff = mod.k * bad - (bad * mod.k).scale(domain.q(1))
     return _make_result("negative_control.corrupted_generator",
                         _params(domain), [diff], t0)

@@ -16,12 +16,17 @@ q^(2 H@H) used by the R-matrix exists only here, as the diagonal with entry
 s^(4 m_a m_b) on the weight pair (m_a, m_b).
 
 An ExactMatrix stores no zero entry: its sums, including those in
-``represent``, go through ``scalars.add_into``, which deletes the entries
-that cancel, and its product kernel inlines that rule.
+``represent``, go through its kernel's ``_add_into`` (``scalars.add_into``
+over a field), which deletes the entries that cancel, and its product
+kernel inlines that rule.
 
-The matrices are over a scalar domain, the context's; the PBW elements they
-represent are over Q(s), and ``represent`` maps each coefficient into the
-domain (``ScalarDomain.image``) where it scales a module's monomial matrix.
+The matrices are over a scalar domain, the context's, and the domain picks
+their kernel (``matrix_type``): ExactMatrix for field values (CycloFrac,
+Fraction), ResidueMatrix for the residue domain's ints, which it reduces
+mod P itself.  Only these kernels combine matrix entries.  The PBW elements
+the matrices represent are over Q(s), and ``represent`` maps each
+coefficient into the domain (``ScalarDomain.image``) where it scales a
+module's monomial matrix.
 Spin modules, tensor contexts, R-matrix cores, the split R and each module's
 monomial matrices are memoised in their scalar domain (``scalars.domain_memo``)
 and live as long as it; ``represent`` keeps none of its multi-leg products.
@@ -33,8 +38,9 @@ import itertools
 import math
 
 from .algebra import (ArityMismatchError, PBWMonomial, TensorElement,
-                      casimir, coproduct, extend_coproduct, pbw_element)
-from .scalars import SYMBOLIC, CycloFrac, ScalarDomain, LaurentPoly, add_into, domain_memo
+                      casimir_coproduct, coproduct, pbw_element)
+from .scalars import (RESIDUE_PRIME as P, SYMBOLIC, CycloFrac, LaurentPoly, ScalarDomain,
+                      add_into, domain_memo, r_inverse_series_coefficient)
 
 
 class InternalMismatchError(RuntimeError):
@@ -42,7 +48,16 @@ class InternalMismatchError(RuntimeError):
 
 
 class ExactMatrix:
-    """Square sparse matrix over the scalar field; no explicit zero entries."""
+    """Square sparse matrix over a field's own scalars; no explicit zero entries.
+
+    The kernel of the domains without a modulus (CycloFrac and Fraction
+    entries), whose entries combine by their own +, -, *.  The operations
+    check their operands and leave the entry arithmetic to the static
+    methods of the kernel section, which a subclass for other scalars
+    replaces.  Every result has its operands' type, so a domain picks its
+    kernel once, where its root matrices are built (``matrix_type``);
+    operands of two types do not mix.
+    """
 
     __slots__ = ("dim", "_entries")
 
@@ -56,9 +71,9 @@ class ExactMatrix:
     @classmethod
     def _raw(cls, dim: int, entries: dict[tuple[int, int], object]) -> ExactMatrix:
         # Adopt an entry map that already holds no zero entries, uncopied.
-        # A map that scalars.add_into (or the product kernel) deleted a
-        # cancelled entry from is copied first, as its flag tells: the copy
-        # drops the dead slots, which a kept result would hold for a run.
+        # A map that _add_into (or the product kernel) deleted a cancelled
+        # entry from is copied first, as its flag tells: the copy drops the
+        # dead slots, which a kept result would hold for a run.
         self = object.__new__(cls)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "_entries", entries)
@@ -103,36 +118,34 @@ class ExactMatrix:
     # -- arithmetic
 
     def __add__(self, other):
-        if not isinstance(other, ExactMatrix):
+        if other.__class__ is not self.__class__:
             return NotImplemented
         self._check_dim(other)
         out = dict(self._entries)
-        return ExactMatrix._raw(self.dim, dict(out) if add_into(out, other.items()) else out)
+        return self._raw(self.dim, dict(out) if self._add_into(out, other.items()) else out)
 
     def __neg__(self):
-        return ExactMatrix._raw(self.dim, {rc: -v for rc, v in self._entries.items()})
+        return self._raw(self.dim, dict(self._negated(self._entries)))
 
     def __sub__(self, other):
-        if not isinstance(other, ExactMatrix):
+        if other.__class__ is not self.__class__:
             return NotImplemented
         self._check_dim(other)
         if self._entries == other._entries:
             # Equal values have a zero difference; a passing residual costs
             # one comparison.
-            return ExactMatrix._raw(self.dim, {})
+            return self._raw(self.dim, {})
         out = dict(self._entries)
-        deleted = add_into(out, ((rc, -v) for rc, v in other._entries.items()))
-        return ExactMatrix._raw(self.dim, dict(out) if deleted else out)
+        deleted = self._add_into(out, self._negated(other._entries))
+        return self._raw(self.dim, dict(out) if deleted else out)
 
     def scale(self, c) -> ExactMatrix:
-        if not c:
-            return ExactMatrix(self.dim)
-        # A product of nonzero field elements is nonzero.
-        return ExactMatrix._raw(self.dim, {rc: v * c for rc, v in self._entries.items()})
+        return self._raw(self.dim, self._scaled(self._entries, c))
 
     def __mul__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
+        self._check_kind(other)
         self._check_dim(other)
         rows: dict[int, list] = {}
         for (r, c), v in self._entries.items():
@@ -140,6 +153,29 @@ class ExactMatrix:
         cols: dict[int, list] = {}
         for (r, c), v in other._entries.items():
             cols.setdefault(r, []).append((c, v))
+        return self._raw(self.dim, self._product(rows, cols))
+
+    def kron(self, other: ExactMatrix) -> ExactMatrix:
+        self._check_kind(other)
+        return self._raw(self.dim * other.dim, self._kron(self._entries, other._entries, other.dim))
+
+    # -- the kernel: how entries combine; ResidueMatrix has its own
+
+    # The zero-deleting sum, which represent_terms shares.
+    _add_into = staticmethod(add_into)
+
+    @staticmethod
+    def _negated(entries: dict):
+        return ((rc, -v) for rc, v in entries.items())
+
+    @staticmethod
+    def _scaled(entries: dict, c) -> dict:
+        # A product of nonzero field elements is nonzero.
+        return {rc: v * c for rc, v in entries.items()} if c else {}
+
+    @staticmethod
+    def _product(rows: dict, cols: dict) -> dict:
+        """The entries of a product from its factors' (column, value) lists by row."""
         out: dict[tuple[int, int], object] = {}
         deleted = False
         for r, left in rows.items():
@@ -157,15 +193,15 @@ class ExactMatrix:
                     elif rc in out:
                         del out[rc]
                         deleted = True
-        return ExactMatrix._raw(self.dim, dict(out) if deleted else out)
+        return dict(out) if deleted else out
 
-    def kron(self, other: ExactMatrix) -> ExactMatrix:
-        d2 = other.dim
+    @staticmethod
+    def _kron(a: dict, b: dict, d2: int) -> dict:
         out = {}
-        for (r1, c1), v1 in self._entries.items():
-            for (r2, c2), v2 in other._entries.items():
+        for (r1, c1), v1 in a.items():
+            for (r2, c2), v2 in b.items():
                 out[(r1 * d2 + r2, c1 * d2 + c2)] = v1 * v2
-        return ExactMatrix._raw(self.dim * d2, out)
+        return out
 
     # -- serialization
 
@@ -179,11 +215,89 @@ class ExactMatrix:
         return "\n".join(lines)
 
     def __repr__(self) -> str:
-        return f"<ExactMatrix dim={self.dim} nnz={len(self._entries)}>"
+        return f"<{type(self).__name__} dim={self.dim} nnz={len(self._entries)}>"
 
     def _check_dim(self, other: ExactMatrix):
         if self.dim != other.dim:
             raise ArityMismatchError(f"dimension mismatch: {self.dim} vs {other.dim}")
+
+    def _check_kind(self, other: ExactMatrix):
+        if other.__class__ is not self.__class__:
+            raise TypeError(f"cannot combine {type(self).__name__} with {type(other).__name__}")
+
+
+def _add_into_mod(acc: dict, items, coeff=None) -> bool:
+    """scalars.add_into over Z/P for ints in [0, P): each sum reduced mod P."""
+    deleted = False
+    for key, v in items:
+        if coeff is not None:
+            v = coeff * v % P
+        old = acc.get(key)
+        w = v if old is None else (old + v) % P
+        if w:
+            acc[key] = w
+        elif old is not None:
+            del acc[key]
+            deleted = True
+    return deleted
+
+
+class ResidueMatrix(ExactMatrix):
+    """ExactMatrix over Z/P, P = RESIDUE_PRIME, with plain int entries in [1, P).
+
+    The kernel of ResidueDomain matrices.  Sums, differences, negation,
+    scaling and kron reduce each entry mod P.  A product adds up the raw int
+    products for each of its entries, reduces the sum once and drops it if
+    it is 0 mod P.  P is prime, so a product of nonzero entries is nonzero.
+    """
+
+    __slots__ = ()
+
+    _add_into = staticmethod(_add_into_mod)
+
+    def __init__(self, dim: int, entries: dict[tuple[int, int], int] | None = None):
+        super().__init__(dim, {rc: v % P for rc, v in (entries or {}).items()})
+
+    @staticmethod
+    def _negated(entries: dict):
+        return ((rc, P - v) for rc, v in entries.items())
+
+    @staticmethod
+    def _scaled(entries: dict, c: int) -> dict:
+        c %= P
+        return {rc: v * c % P for rc, v in entries.items()} if c else {}
+
+    @staticmethod
+    def _product(rows: dict, cols: dict) -> dict:
+        out: dict[tuple[int, int], int] = {}
+        for r, left in rows.items():
+            row: dict[int, int] = {}
+            for c1, v1 in left:
+                right = cols.get(c1)
+                if right:
+                    for c2, v2 in right:
+                        row[c2] = row.get(c2, 0) + v1 * v2
+            for c2, w in row.items():
+                w %= P
+                if w:
+                    out[(r, c2)] = w
+        return out
+
+    @staticmethod
+    def _kron(a: dict, b: dict, d2: int) -> dict:
+        out = {}
+        for (r1, c1), v1 in a.items():
+            for (r2, c2), v2 in b.items():
+                out[(r1 * d2 + r2, c1 * d2 + c2)] = v1 * v2 % P
+        return out
+
+
+_KERNELS = {None: ExactMatrix, P: ResidueMatrix}
+
+
+def matrix_type(domain: ScalarDomain) -> type[ExactMatrix]:
+    """The matrix kernel of the domain's scalars, by ``ScalarDomain.modulus``."""
+    return _KERNELS[domain.modulus]
 
 
 # ---------------------------------------------------------------------------
@@ -198,15 +312,14 @@ class SpinModule:
             raise ValueError("two_j must be nonnegative")
         self.two_j = two_j
         self.domain = domain
+        self.matrix = kind = matrix_type(domain)
         self.dim = two_j + 1
         # index i carries weight m = (two_j - 2i)/2; stored as 2m.
         self.two_m = [two_j - 2 * i for i in range(self.dim)]
-        self.e = ExactMatrix(self.dim, {(i - 1, i): domain.q_int(i)
-                                        for i in range(1, self.dim)})
-        self.f = ExactMatrix(self.dim, {(i + 1, i): domain.q_int(two_j - i)
-                                        for i in range(self.dim - 1)})
-        self.k = ExactMatrix.diagonal(domain.s(t) for t in self.two_m)
-        self.kinv = ExactMatrix.diagonal(domain.s(-t) for t in self.two_m)
+        self.e = kind(self.dim, {(i - 1, i): domain.q_int(i) for i in range(1, self.dim)})
+        self.f = kind(self.dim, {(i + 1, i): domain.q_int(two_j - i) for i in range(self.dim - 1)})
+        self.k = kind.diagonal(domain.s(t) for t in self.two_m)
+        self.kinv = kind.diagonal(domain.s(-t) for t in self.two_m)
         self._verify()
 
     def defining_relations(self) -> list[ExactMatrix]:
@@ -216,13 +329,12 @@ class SpinModule:
         K K^-1 = 1 and the nilpotency E^(two_j+1) = F^(two_j+1) = 0.
         """
         d = self.domain
-        qdiff = d.q(1) - d.q(-1)
         return [
             self.k * self.e - (self.e * self.k).scale(d.q(1)),
             self.k * self.f - (self.f * self.k).scale(d.q(-1)),
             (self.e * self.f - self.f * self.e)
-            - (self.k * self.k - self.kinv * self.kinv).scale(d.one / qdiff),
-            self.k * self.kinv - ExactMatrix.identity(self.dim, d.one),
+            - (self.k * self.k - self.kinv * self.kinv).scale(d.q_diff_inverse()),
+            self.k * self.kinv - self.matrix.identity(self.dim, d.one),
             self.gen_power("e", self.two_j + 1),
             self.gen_power("f", self.two_j + 1),
         ]
@@ -236,7 +348,7 @@ class SpinModule:
     def gen_power(self, name: str, n: int) -> ExactMatrix:
         """Memoised n-th power of a generator matrix ("e", "f", "k" or "kinv")."""
         base = {"e": self.e, "f": self.f, "k": self.k, "kinv": self.kinv}[name]
-        m = ExactMatrix.identity(self.dim, self.domain.one)
+        m = self.matrix.identity(self.dim, self.domain.one)
         for _ in range(n):
             m = m * base
         return m
@@ -267,6 +379,7 @@ class TensorContext:
             raise ArityMismatchError("a tensor context needs at least one leg")
         self.spins = tuple(spins)
         self.domain = domain
+        self.matrix = matrix_type(domain)
         self.modules = tuple(spin_module(t, domain) for t in self.spins)
         self.dims = tuple(m.dim for m in self.modules)
         self.total_dim = math.prod(self.dims)
@@ -283,7 +396,7 @@ class TensorContext:
         return itertools.product(*(range(d) for d in self.dims))
 
     def identity(self) -> ExactMatrix:
-        return ExactMatrix.identity(self.total_dim, self.domain.one)
+        return self.matrix.identity(self.total_dim, self.domain.one)
 
     def __repr__(self):
         return f"TensorContext(spins={self.spins}, {self.domain.describe()})"
@@ -313,17 +426,18 @@ def represent_terms(terms, modules: tuple[SpinModule, ...]) -> ExactMatrix:
     right one.
     """
     first, rest = modules[0], modules[1:]
+    add = first.matrix._add_into
     acc: dict[tuple[int, int], object] = {}
     deleted = False
     if rest:
         for u, tail in group_by_first_leg(terms).items():
             block = first.monomial(u).kron(represent_terms(tail, rest))
-            deleted |= add_into(acc, block.items())
+            deleted |= add(acc, block.items())
     else:
         image = first.domain.image
         for (w,), c in terms:
-            deleted |= add_into(acc, first.monomial(w).items(), image(c))
-    return ExactMatrix._raw(math.prod(m.dim for m in modules), dict(acc) if deleted else acc)
+            deleted |= add(acc, first.monomial(w).items(), image(c))
+    return first.matrix._raw(math.prod(m.dim for m in modules), dict(acc) if deleted else acc)
 
 
 def represent(x: TensorElement, ctx: TensorContext) -> ExactMatrix:
@@ -347,7 +461,7 @@ def _weight_diagonal(mod_a: SpinModule, mod_b: SpinModule, sign: int = 1) -> Exa
         for ib, tb in enumerate(mod_b.two_m):
             idx = ia * dim_b + ib
             out[(idx, idx)] = d.s(sign * ta * tb)
-    return ExactMatrix(mod_a.dim * dim_b, out)
+    return mod_a.matrix(mod_a.dim * dim_b, out)
 
 
 def _series(a: ExactMatrix, b: ExactMatrix, coeff, n_max: int, one) -> ExactMatrix:
@@ -355,8 +469,9 @@ def _series(a: ExactMatrix, b: ExactMatrix, coeff, n_max: int, one) -> ExactMatr
 
     (a @ b)^n = a^n @ b^n, so powers and scaling stay on the factors.
     """
-    total = ExactMatrix(a.dim * b.dim)
-    pa, pb = ExactMatrix.identity(a.dim, one), ExactMatrix.identity(b.dim, one)
+    kind = type(a)
+    total = kind(a.dim * b.dim)
+    pa, pb = kind.identity(a.dim, one), kind.identity(b.dim, one)
     for n in range(n_max + 1):
         if n:
             pa, pb = pa * a, pb * b
@@ -399,8 +514,8 @@ def _flip(mod_a: SpinModule, mod_b: SpinModule) -> ExactMatrix:
     """The flip V_b @ V_a -> V_a @ V_b as a square 0/1 matrix."""
     one = mod_a.domain.one
     da, db = mod_a.dim, mod_b.dim
-    return ExactMatrix(da * db, {(ia * db + ib, ib * da + ia): one
-                                 for ia in range(da) for ib in range(db)})
+    return mod_a.matrix(da * db, {(ia * db + ib, ib * da + ia): one
+                                  for ia in range(da) for ib in range(db)})
 
 
 @domain_memo
@@ -426,16 +541,11 @@ def _r_core_inverse(mod_a: SpinModule, mod_b: SpinModule) -> ExactMatrix:
     """R^-1 in closed form: (sum_n a_n(q^-1) X^n) q^(-2 H@H), X as in R.
 
     The q-exponential series inverts by q -> q^-1 and x -> -x, so
-    a_n(q^-1) = (-1)^n q^(-n(n-1)) a_n(q).  The result is certified by the
-    product check R R^-1 = 1.
+    a_n(q^-1) = (-1)^n q^(-n(n-1)) a_n(q), built over Q(s) and mapped into
+    the domain.  The result is certified by the product check R R^-1 = 1.
     """
     d = mod_a.domain
-
-    def coeff(n):
-        a = d.series_coeff(n) * d.q(-n * (n - 1))
-        return -a if n % 2 else a
-
-    inv = _series(*_r_nilpotent(mod_a, mod_b), coeff,
+    inv = _series(*_r_nilpotent(mod_a, mod_b), lambda n: d.image(r_inverse_series_coefficient(n)),
                   min(mod_a.two_j, mod_b.two_j), d.one) * _weight_diagonal(mod_a, mod_b, -1)
     if not (_r_core(mod_a, mod_b, 0) * inv).is_identity():
         raise InternalMismatchError("closed-form R^-1 failed the product check")
@@ -478,7 +588,7 @@ def embed_legs(m: ExactMatrix, legs: tuple[int, ...], ctx: TensorContext) -> Exa
         ar, ac = at[r], at[c]
         for off in offsets:
             out[(ar + off, ac + off)] = v
-    return ExactMatrix._raw(ctx.total_dim, out)
+    return m._raw(ctx.total_dim, out)
 
 
 def embed_two_leg(m: ExactMatrix, legs: tuple[int, int], ctx: TensorContext) -> ExactMatrix:
@@ -532,7 +642,7 @@ def permutation_operator(legs: tuple[int, int], ctx: TensorContext) -> ExactMatr
         swapped = list(multi)
         swapped[ia], swapped[ib] = swapped[ib], swapped[ia]
         out[(ctx.flat_index(swapped), ctx.flat_index(multi))] = one
-    return ExactMatrix(ctx.total_dim, out)
+    return ctx.matrix(ctx.total_dim, out)
 
 
 # ---------------------------------------------------------------------------
@@ -551,9 +661,8 @@ def casimir_scalar_highest_weight(two_j: int, domain: ScalarDomain):
 
 def leg_casimir(legs: tuple[int, ...], ctx: TensorContext) -> ExactMatrix:
     """The Casimir on one leg, or its coproduct on a leg pair, on those legs alone."""
-    n = len(legs)
     sub = tensor_context(tuple(ctx.spins[i - 1] for i in legs), ctx.domain)
-    return represent(extend_coproduct(casimir(), tuple(range(1, n + 1)), n), sub)
+    return represent(casimir_coproduct(len(legs)), sub)
 
 
 def intermediate_casimirs(ctx: TensorContext,
@@ -581,7 +690,7 @@ def intermediate_casimirs(ctx: TensorContext,
     out["C13_0"] = r_tilde_inverse((2, 3), ctx) * c13 * r_tilde((2, 3), ctx)
     out["C13_0_via_r12"] = r_matrix((1, 2), ctx) * c13 * r_matrix_inverse((1, 2), ctx)
     if n == 3:
-        out["C123"] = represent(extend_coproduct(casimir(), (1, 2, 3), 3), ctx)
+        out["C123"] = represent(casimir_coproduct(3), ctx)
         out["C13_1"] = r_tilde_inverse((1, 2), ctx) * c13 * r_tilde((1, 2), ctx)
         out["C13_1_via_r23"] = r_matrix((2, 3), ctx) * c13 * r_matrix_inverse((2, 3), ctx)
     else:
@@ -620,7 +729,7 @@ def coproduct_split_r(ctx: TensorContext, side: str) -> ExactMatrix:
         b = represent(kinv_f, tensor_context(ctx.spins[2:], d))
     else:
         raise ValueError(f"unknown side {side!r}")
-    diag = ExactMatrix.diagonal(
+    diag = ctx.matrix.diagonal(
         d.s(t1 * (t2 + t3) if side == "id_coproduct" else (t1 + t2) * t3)
         for t1, t2, t3 in itertools.product(*(m.two_m for m in ctx.modules)))
     return diag * _series(a, b, d.series_coeff, ctx.total_dim, d.one)

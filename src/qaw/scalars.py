@@ -24,14 +24,17 @@ integer > 1 included, raises NonCyclotomicError.
 A :class:`ScalarDomain` selects what the matrix layer runs over: the
 symbolic field (CycloFrac values), exact rational evaluation at a fixed
 admissible point s0 (Fractions), or the same point reduced modulo the prime
-P = 2**61 - 1 (Residue values), the last two for randomized Schwartz-Zippel
-style identity testing.  A domain is one ring map from Q(s) into its own
-scalars, ``ScalarDomain.image`` of a CycloFrac; every scalar the matrix
-layer takes from it (s**k, integers, q-integers, series coefficients) is the
-image of the matching CycloFrac.  PBW elements are computed over Q(s) only,
-and a domain maps each of their coefficients where it meets a matrix, so the
-representation code, and with it an entire verification suite, runs in any
-of them.
+P = 2**61 - 1 (plain ints in [0, P)), the last two for randomized
+Schwartz-Zippel style identity testing.  A domain is one ring map from Q(s)
+into its own scalars, ``ScalarDomain.image`` of a CycloFrac; every scalar the
+matrix layer takes from it (s**k, integers, q-integers, series coefficients,
+1/(q - q^-1)) is the image of the matching CycloFrac.  PBW elements are
+computed over Q(s) only, and a domain maps each of their coefficients where
+it meets a matrix, so the representation code, and with it an entire
+verification suite, runs in any of them.  The matrix layer combines scalars
+only in its matrix kernels, one per ``ScalarDomain.modulus``: field values
+with their own +, -, * for a domain without one, and ints reduced mod P for
+the residue domain.
 """
 
 from __future__ import annotations
@@ -61,10 +64,11 @@ def add_into(acc: dict, items, coeff=None) -> bool:
     """Add coeff * v (v if coeff is None) for each (key, v) of items into the
     map acc and delete each key whose sum cancels; True if one was deleted.
 
-    Every sparse map (PBW terms, matrix entries) stays
-    zero-free through this rule.  The product kernel ExactMatrix.__mul__
-    inlines it: it is a measured hot loop of an exact run, where a call per
-    term shows.
+    Every sparse map of field values (PBW terms, matrix entries over Q(s)
+    or Q) stays zero-free through this rule.  The product kernel
+    ExactMatrix.__mul__ inlines it: it is a measured hot loop of an exact
+    run, where a call per term shows.  The residue matrix kernel has its own
+    version, which reduces each sum mod P.
     """
     deleted = False
     for key, v in items:
@@ -752,6 +756,18 @@ def r_series_coefficient(n: int) -> CycloFrac:
     return CycloFrac(num, q_factorial(n))
 
 
+@lru_cache(maxsize=None)
+def r_inverse_series_coefficient(n: int) -> CycloFrac:
+    """a_n(q^-1) = (-1)^n q^(-n(n-1)) a_n(q), the coefficient of the series of R^-1."""
+    return r_series_coefficient(n) * LaurentPoly({-2 * n * (n - 1): (-1) ** n})
+
+
+@lru_cache(maxsize=None)
+def _q_diff_inverse() -> CycloFrac:
+    # Built on first use: its cyclotomic factoring would cost each import ~1 ms.
+    return CycloFrac(1, LaurentPoly({2: 1, -2: -1}))
+
+
 # ---------------------------------------------------------------------------
 # exact evaluation
 # ---------------------------------------------------------------------------
@@ -786,20 +802,26 @@ class ScalarDomain:
 
     ``SYMBOLIC`` computes with exact CycloFrac values; ``PointDomain(s0)``
     with the Fractions obtained by substituting s = s0; ``ResidueDomain(s0)``
-    with those Fractions reduced mod 2**61 - 1.  Values from any domain
-    support +, -, *, /, ==, and are falsy exactly when zero, which is all
-    the matrix layer relies on.  A domain implements ``image``, which maps a
-    CycloFrac into the domain: a ring homomorphism on the values whose
-    denominator does not vanish there, so mapping a product gives the
-    product of the images; a vanishing denominator raises PoleError.  Every
-    other scalar it hands out (s**k, q**k, integers, q-integers, R-series
-    coefficients) is the image of the matching CycloFrac.  A domain also
-    owns the data derived over it, memoised by :func:`domain_memo`:
-    ``SYMBOLIC`` keeps it for the process, and eval mode clears a point
-    domain's memo when its point is done.
+    with those Fractions reduced mod P = 2**61 - 1, as plain ints in [0, P).
+    Values from any domain compare with == and are falsy exactly when zero.
+    ``modulus`` says how the matrix kernel combines them: None for field
+    values, by their own +, -, *; the prime P for ints, which the kernel
+    reduces mod P itself.  The matrix layer divides no value: a quotient it
+    needs, such as 1/(q - q^-1), is the image of a CycloFrac.
+
+    A domain implements ``image``, which maps a CycloFrac into the domain: a
+    ring homomorphism on the values whose denominator does not vanish there,
+    so mapping a product gives the product of the images; a vanishing
+    denominator raises PoleError.  Every other scalar it hands out (s**k,
+    q**k, integers, q-integers, R-series coefficients, 1/(q - q^-1)) is the
+    image of the matching CycloFrac.  A domain also owns the data derived
+    over it, memoised by :func:`domain_memo`: ``SYMBOLIC`` keeps it for the
+    process, and eval mode clears a point domain's memo when its point is
+    done.
     """
 
     mode: str
+    modulus: int | None = None
 
     def __init__(self):
         self._memo: dict = {}
@@ -840,6 +862,10 @@ class ScalarDomain:
 
     def series_coeff(self, n: int):
         return self.image(r_series_coefficient(n))
+
+    def q_diff_inverse(self):
+        """1/(q - q^-1)."""
+        return self.image(_q_diff_inverse())
 
 
 class SymbolicDomain(ScalarDomain):
@@ -900,93 +926,18 @@ class PointDomain(AdmissiblePointDomain):
 RESIDUE_PRIME = (1 << 61) - 1
 
 
-class Residue:
-    """An element of Z/P, P = RESIDUE_PRIME: the scalar of a ResidueDomain.
-
-    Division by a residue that is 0 mod P raises PoleError: the denominator
-    of the rational value it stands for vanishes mod P, so the point has no
-    residue image and is computed over Q instead.
-    """
-
-    __slots__ = ("v",)
-
-    def __init__(self, v: int):
-        self.v = v  # 0 <= v < P
-
-    def __add__(self, other):
-        if other.__class__ is not Residue and (other := _as_residue(other)) is None:
-            return NotImplemented
-        v = self.v + other.v
-        return Residue(v - RESIDUE_PRIME if v >= RESIDUE_PRIME else v)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Residue(RESIDUE_PRIME - self.v if self.v else 0)
-
-    def __sub__(self, other):
-        if other.__class__ is not Residue and (other := _as_residue(other)) is None:
-            return NotImplemented
-        v = self.v - other.v
-        return Residue(v + RESIDUE_PRIME if v < 0 else v)
-
-    def __rsub__(self, other):
-        return -self + other
-
-    def __mul__(self, other):
-        if other.__class__ is not Residue and (other := _as_residue(other)) is None:
-            return NotImplemented
-        return Residue(self.v * other.v % RESIDUE_PRIME)
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> Residue:
-        if not self.v:
-            raise PoleError("division by a residue that is 0 mod 2^61-1")
-        return Residue(pow(self.v, -1, RESIDUE_PRIME))
-
-    def __truediv__(self, other):
-        if other.__class__ is not Residue and (other := _as_residue(other)) is None:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        return self.inverse() * other
-
-    def __pow__(self, n: int):
-        base = self.inverse() if n < 0 else self
-        return Residue(pow(base.v, abs(n), RESIDUE_PRIME))
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not Residue and (other := _as_residue(other)) is None:
-            return NotImplemented
-        return self.v == other.v
-
-    def __hash__(self) -> int:
-        # Only Residues hash alike when equal: a Residue also equals every int
-        # congruent to it mod P, and no hash can match all of those.
-        return hash(self.v)
-
-    def __bool__(self) -> bool:
-        return self.v != 0
-
-    def __repr__(self) -> str:
-        return f"{self.v} (mod 2^61-1)"
-
-
-def _as_residue(x) -> Residue | None:
-    return Residue(x % RESIDUE_PRIME) if isinstance(x, int) else None
-
-
 class ResidueDomain(AdmissiblePointDomain):
     """Arithmetic in Z/P at an admissible point s0 = p/r, mapped to p * r^-1 mod P.
 
-    Every value is the rational value at s0 reduced mod P, the reduction
-    being a ring homomorphism on the rationals whose denominator P does not
-    divide; a denominator that is 0 mod P raises PoleError.  A residue that
+    Every value is an int in [0, P): the rational value at s0 reduced mod P,
+    the reduction being a ring homomorphism on the rationals whose
+    denominator P does not divide; a denominator that is 0 mod P raises
+    PoleError.  A residue that
     is nonzero mod P proves the rational value nonzero; a zero residue can
     be a false zero, as for any sample point.
     """
+
+    modulus = RESIDUE_PRIME
 
     def __init__(self, s0: Fraction):
         super().__init__(s0)
@@ -1002,10 +953,15 @@ class ResidueDomain(AdmissiblePointDomain):
             total = (total * x + c) % RESIDUE_PRIME
         return total * pow(self._s, p._lo, RESIDUE_PRIME) % RESIDUE_PRIME
 
-    def image(self, c: CycloFrac):
-        v = Residue(self._value(c.num))
+    def image(self, c: CycloFrac) -> int:
+        v = self._value(c.num)
         # A polynomial value, s**k and every integer among them, needs no inverse.
-        return v / Residue(self._value(c.denominator())) if c.den else v
+        if not c.den:
+            return v
+        d = self._value(c.denominator())
+        if not d:
+            raise PoleError(f"a denominator vanishes mod 2^61-1 at s = {self.s0}")
+        return v * pow(d, -1, RESIDUE_PRIME) % RESIDUE_PRIME
 
 
 SYMBOLIC = SymbolicDomain()

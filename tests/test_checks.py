@@ -219,6 +219,16 @@ class TestEvalMode:
         assert run_suite("all", RunConfig(spins=(1, 1, 1), mode="eval", eval_points=20)).passed
         assert len(live) == 20 and len(set(live[1:])) == 1
 
+    def test_casimir_coproducts_are_built_once_per_process(self):
+        # Every point represents the same C, D(C) and Delta^(2)(C) for its
+        # intermediate Casimirs, so no point builds them again.
+        alg.casimir_coproduct.cache_clear()
+        for points in (1, 4):
+            cfg = RunConfig(spins=(1, 1, 1), mode="eval", eval_points=points)
+            assert run_suite("all", cfg).passed
+        info = alg.casimir_coproduct.cache_info()
+        assert info.misses == 3 and info.hits >= 5 * 7 - 3
+
     def test_report_runtimes_are_whole_milliseconds(self):
         cfg = RunConfig(suite="aw3-symbolic", mode="eval", eval_points=2)
         assert all(type(c.runtime_ms) is int for c in run_suite("aw3-symbolic", cfg).checks)
@@ -450,6 +460,10 @@ class TestRestrictedChecks:
         assert calls == [(1, 2, 1)]
 
 
+def _mod_p(x: Fraction) -> int:
+    return x.numerator * pow(x.denominator, -1, RESIDUE_PRIME) % RESIDUE_PRIME
+
+
 DOMAINS = pytest.mark.parametrize(
     "domain", [SYMBOLIC, PointDomain(Fraction(5, 3)), ResidueDomain(Fraction(43, 21))],
     ids=["symbolic", "point", "residue"])
@@ -502,7 +516,7 @@ class TestLegCertificates:
             if name[0] != "X" or perturbation is None:
                 return m
             if perturbation == "uncertified":
-                return m + ExactMatrix(m.dim, {(0, 0): domain.one})
+                return m + type(m)(m.dim, {(0, 0): domain.one})
             return m + reps.leg_casimir(LEG_OPERANDS[name], store.ctx)
         monkeypatch.setattr(RunStore, "leg", perturbed)
         ctx = tensor_context(spins, domain)
@@ -521,22 +535,35 @@ class TestLegCertificates:
                 low = sum(1 for (r, c), _ in diff.items() if r in block and c in block)
                 assert result.residual_terms == low > 0
 
-    @DOMAINS
-    def test_sub_matches_an_entrywise_reference(self, domain):
+    @staticmethod
+    def _sub_operands(domain):
         ctx = tensor_context((2, 1, 2), domain)
         a = reps.represent(alg.extend_coproduct(alg.casimir(), (1, 2), 3), ctx)
         b = reps.embed_legs(reps.leg_casimir((1, 2), ctx), (1, 2), ctx)
         assert a is not b and a == b
-        c = b + ExactMatrix(ctx.total_dim, {(0, 0): domain.one, (0, 1): domain.one})
+        c = b + ctx.matrix(ctx.total_dim, {(0, 0): domain.one, (0, 1): domain.one})
         d = reps.intermediate_casimirs(ctx)["C13_0"]
+        return a, b, c, d, ctx.matrix(a.dim)
+
+    @DOMAINS
+    def test_sub_matches_an_entrywise_reference(self, domain):
+        # The residue domain's reference is the difference in the field at
+        # its point, reduced mod P.
+        field = PointDomain(domain.s0) if domain.modulus else domain
 
         def reference(x, y):
             keys = {rc for rc, _ in x.items()} | {rc for rc, _ in y.items()}
-            diffs = {rc: (x.entry(*rc) or domain.zero) - (y.entry(*rc) or domain.zero)
+            diffs = {rc: (x.entry(*rc) or field.zero) - (y.entry(*rc) or field.zero)
                      for rc in keys}
+            if domain.modulus:
+                diffs = {rc: _mod_p(w) for rc, w in diffs.items()}
             return {rc: w for rc, w in diffs.items() if w}
-        for x, y in ((a, b), (b, a), (a, c), (c, a), (a, d), (d, a), (a, ExactMatrix(a.dim))):
-            assert dict((x - y).items()) == reference(x, y)
+        a, b, c, d, zero = self._sub_operands(domain)
+        fa, fb, fc, fd, fzero = self._sub_operands(field)
+        for (x, y), (fx, fy) in zip(
+                ((a, b), (b, a), (a, c), (c, a), (a, d), (d, a), (a, zero)),
+                ((fa, fb), (fb, fa), (fa, fc), (fc, fa), (fa, fd), (fd, fa), (fa, fzero))):
+            assert dict((x - y).items()) == reference(fx, fy)
         assert (a - b).is_zero() and not (a - c).is_zero()
 
     def test_aw3_premises_are_setup(self, monkeypatch):
@@ -572,7 +599,7 @@ class TestLegFactorForms:
         mod1, mod3 = ctx3.modules[0], ctx3.modules[2]
         elements = [alg.tau_closed_form(x) for x in alg.tau_argument_elements().values()]
         for x in elements + [alg.coproduct(alg.casimir())]:
-            reference = ExactMatrix(ctx3.total_dim)
+            reference = ctx3.matrix(ctx3.total_dim)
             for (u, v), c in x.items():
                 reference = reference + mod1.monomial(u).kron(
                     checks._tau_matrix(pair23, mod3.monomial(v))).scale(domain.image(c))

@@ -64,7 +64,7 @@ def _plus_top_entry(m: ExactMatrix, domain) -> ExactMatrix:
     It commutes with the weight operators but not with the raising
     operators, so a centralizer residual sees it.
     """
-    return m + ExactMatrix(m.dim, {(0, 0): domain.one})
+    return m + type(m)(m.dim, {(0, 0): domain.one})
 
 
 @RUNS
@@ -72,7 +72,7 @@ def test_perturbed_split_r(monkeypatch, spins, mode):
     # One entry in the row of basis vector (1, 0, 0): there the residual of
     # each right coaction with x = E, F, K is nonzero.
     real = reps.coproduct_split_r
-    monkeypatch.setattr(reps, "coproduct_split_r", lambda ctx, side: real(ctx, side) + ExactMatrix(
+    monkeypatch.setattr(reps, "coproduct_split_r", lambda ctx, side: real(ctx, side) + ctx.matrix(
         ctx.total_dim, {(ctx.strides[0], 0): ctx.domain.one}))
     failed = _failed(_verdicts(monkeypatch, ("rmatrix", "tau"), spins, mode))
     # tau.right_coaction[C] cannot fail: C acts on leg 1 as a scalar, so both
@@ -121,7 +121,7 @@ def test_perturbed_generator_entry(monkeypatch, fresh_symbolic, spins, mode):
     def perturbed(two_j, domain):
         mod = reps.SpinModule(two_j, domain)  # a copy: the memoised module stays intact
         if two_j:
-            mod.e = mod.e + ExactMatrix(mod.dim, {(0, 1): domain.one})
+            mod.e = mod.e + mod.matrix(mod.dim, {(0, 1): domain.one})
         return mod
     monkeypatch.setattr(reps, "spin_module", perturbed)
     try:
@@ -190,7 +190,7 @@ def test_perturbed_c24_1_conjugation(monkeypatch, mode):
         seen.append(ctx)
         if sum(c is ctx for c in seen) != 2:
             return m
-        return m + ExactMatrix(m.dim, {(1, 2): ctx.domain.one})
+        return m + ctx.matrix(m.dim, {(1, 2): ctx.domain.one})
     monkeypatch.setattr(reps, "r_tilde_inverse", perturbed)
     failed = _failed(_verdicts(monkeypatch, ("aw4",), (1, 1, 1, 1), mode))
     assert failed == {"aw4.c24_1_two_routes", "aw4.commutator[C13_0,C24_1]"}

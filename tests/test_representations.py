@@ -10,7 +10,10 @@ from qaw.algebra import (ArityMismatchError, PBWMonomial, TensorElement, casimir
                          coproduct, coproduct_on_leg, coproduct_op,
                          extend_coproduct, generator, normal_order_mul,
                          pbw_element, random_element, unit_element)
-from qaw.representations import (ExactMatrix, InternalMismatchError,
+from qaw import representations as reps
+from qaw.checks import block_slice
+from qaw.representations import (ExactMatrix, InternalMismatchError, ResidueMatrix,
+                                 matrix_type,
                                  casimir_scalar_highest_weight,
                                  coproduct_split_r, embed_two_leg,
                                  intermediate_casimirs,
@@ -18,8 +21,8 @@ from qaw.representations import (ExactMatrix, InternalMismatchError,
                                  r_matrix_inverse, r_series_term, r_tilde,
                                  r_tilde_inverse, represent, spin_module,
                                  tensor_context)
-from qaw.scalars import (SYMBOLIC, CycloFrac, LaurentPoly, PointDomain, ResidueDomain,
-                         add_into, q_integer)
+from qaw.scalars import (RESIDUE_PRIME, SYMBOLIC, CycloFrac, LaurentPoly, PointDomain,
+                         ResidueDomain, add_into, q_integer)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -58,6 +61,10 @@ def _term_by_term(zero, pieces):
     return {key: v for key, v in total.items() if v}
 
 
+def _mod_p(x: Fraction) -> int:
+    return x.numerator * pow(x.denominator, -1, RESIDUE_PRIME) % RESIDUE_PRIME
+
+
 def _single_terms(x: TensorElement):
     return [TensorElement(x.arity, {key: c}) for key, c in x.items()]
 
@@ -67,16 +74,21 @@ class TestSparseSums:
                                         ResidueDomain(Fraction(5, 3))],
                              ids=["symbolic", "point", "residue"])
     def test_sums_match_term_by_term_and_hold_no_zero(self, domain):
-        zero = domain.zero
+        # The residue domain's ints are summed only by its matrix kernel, so
+        # its reference is the sum in the field at its point, reduced mod P.
+        field = PointDomain(domain.s0) if domain.modulus else domain
 
-        def check(result, pieces, zero=zero):
+        def check(result, pieces, zero=field.zero, mod_p=False):
             entries = dict(result.terms if isinstance(result, LaurentPoly) else result.items())
-            assert entries == _term_by_term(zero, pieces)
+            want = _term_by_term(zero, pieces)
+            if mod_p:
+                want = {key: r for key, v in want.items() if (r := _mod_p(v))}
+            assert entries == want
             assert all(entries.values())
 
-        acc = {0: domain.q(1)}
-        assert add_into(acc, [(0, -domain.q(1)), (1, domain.s(3))]) and acc == {1: domain.s(3)}
-        assert not add_into(acc, [(1, domain.s(3))], domain.q(-1))
+        acc = {0: field.q(1)}
+        assert add_into(acc, [(0, -field.q(1)), (1, field.s(3))]) and acc == {1: field.s(3)}
+        assert not add_into(acc, [(1, field.s(3))], field.q(-1))
 
         # Each sum is taken with a partly cancelling and a fully cancelling term.
         a, b = LaurentPoly({-1: 4, 0: 1, 2: 3}), LaurentPoly({2: -3, 5: 1})
@@ -107,11 +119,15 @@ class TestSparseSums:
                   zero=D.zero)
             assert (coproduct_on_leg(x, leg) + coproduct_on_leg(-x, leg)).is_zero()
 
-        mod = spin_module(2, domain)
-        m = mod.e + mod.k
-        for n in (mod.f - mod.k, mod.k, -m):
-            check(m + n, [*m.items(), *n.items()])
-            check(m - n, [*m.items(), *((rc, -w) for rc, w in n.items())])
+        def operands(d):
+            mod = spin_module(2, d)
+            m = mod.e + mod.k
+            return m, (mod.f - mod.k, mod.k, -m)
+        (m, ns), (fm, fns) = operands(domain), operands(field)
+        for n, fn in zip(ns, fns):
+            check(m + n, [*fm.items(), *fn.items()], mod_p=bool(domain.modulus))
+            check(m - n, [*fm.items(), *((rc, -w) for rc, w in fn.items())],
+                  mod_p=bool(domain.modulus))
         assert (m - m).is_zero()
 
 
@@ -186,10 +202,10 @@ class TestRepresent:
             x = random_element(len(spins), rng, max_power=1, max_k=1)
             y = random_element(len(spins), rng, max_power=1, max_k=1)
             for z in (x, x * y, x * y - y * x, x - x):
-                reference = ExactMatrix(ctx.total_dim)
+                reference = ctx.matrix(ctx.total_dim)
                 for key, c in z.items():
-                    mono = reduce(ExactMatrix.kron, (spin_module(t, domain).monomial(m)
-                                                     for t, m in zip(spins, key)))
+                    mono = reduce(ctx.matrix.kron, (spin_module(t, domain).monomial(m)
+                                                    for t, m in zip(spins, key)))
                     reference = reference + mono.scale(domain.image(c))
                 assert represent(z, ctx) == reference
 
@@ -253,13 +269,13 @@ class TestRMatrix:
         else:
             x = represent(coproduct(e_k), tensor_context(ctx.spins[:2], d)).kron(
                 represent(kinv_f, tensor_context(ctx.spins[2:], d)))
-        series, term = ExactMatrix(ctx.total_dim), ctx.identity()
+        series, term = ctx.matrix(ctx.total_dim), ctx.identity()
         for n in range(ctx.total_dim):
             series = series + term.scale(d.series_coeff(n))
             term = term * x
             if term.is_zero():
                 break
-        diag = ExactMatrix.diagonal(
+        diag = ctx.matrix.diagonal(
             d.s(t1 * (t2 + t3) if side == "id_coproduct" else (t1 + t2) * t3)
             for t1, t2, t3 in itertools.product(*(m.two_m for m in ctx.modules)))
         return diag * series
@@ -431,3 +447,114 @@ class TestPointDomainRepresentations:
         assert sym.dim == num.dim
         for rc, v in sym.items():
             assert v.evaluate(s0) == num.entry(rc[0], rc[1])
+
+
+def _residues(m: ExactMatrix) -> ResidueMatrix:
+    """A matrix of Fractions reduced mod P entrywise, the entries 0 mod P dropped."""
+    return ResidueMatrix(m.dim, {rc: _mod_p(v) for rc, v in m.items()})
+
+
+def _assert_residue_entries(m: ExactMatrix):
+    assert type(m) is ResidueMatrix
+    assert all(type(v) is int and 0 < v < RESIDUE_PRIME for _, v in m.items())
+
+
+class TestResidueKernel:
+    """ResidueMatrix against the Fraction kernel of PointDomain reduced mod P."""
+
+    # Fractions whose residues are 0, 1, P - 1 or near P, so sums and
+    # products of residues wrap.
+    EDGE = (Fraction(RESIDUE_PRIME), Fraction(RESIDUE_PRIME - 1), Fraction(RESIDUE_PRIME + 1),
+            Fraction(-1), Fraction(1, 2), Fraction(RESIDUE_PRIME - 3, 7))
+
+    @classmethod
+    def _random(cls, rng, dim):
+        entries = {}
+        for r in range(dim):
+            for c in range(dim):
+                if rng.random() < 0.4:
+                    entries[(r, c)] = (rng.choice(cls.EDGE) if rng.random() < 0.3 else
+                                       Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
+        return ExactMatrix(dim, entries)
+
+    def _assert_same(self, got: ResidueMatrix, over_q: ExactMatrix):
+        _assert_residue_entries(got)
+        assert got == _residues(over_q)
+
+    def test_matches_the_rationals_mod_p(self):
+        rng = random.Random(24)
+        for dim in (1, 2, 5, 7):
+            for _ in range(30):
+                a, b = self._random(rng, dim), self._random(rng, dim)
+                # c cancels part of a over Q, so sums and differences drop entries.
+                c = ExactMatrix(dim, {rc: -v for rc, v in a.items() if rng.random() < 0.5})
+                ra, rb, rc_ = _residues(a), _residues(b), _residues(c)
+                for x, y, rx, ry in ((a, b, ra, rb), (a, c, ra, rc_), (a, a, ra, ra)):
+                    self._assert_same(rx + ry, x + y)
+                    self._assert_same(rx - ry, x - y)
+                    self._assert_same(rx * ry, x * y)
+                    self._assert_same(rx.kron(ry), x.kron(y))
+                self._assert_same(-ra, -a)
+                assert ra.scale(0).is_zero() and ra.scale(RESIDUE_PRIME).is_zero()
+                self._assert_same(ra.scale(RESIDUE_PRIME - 1), a.scale(Fraction(-1)))
+                self._assert_same(ra.scale(_mod_p(Fraction(3, 5))), a.scale(Fraction(3, 5)))
+
+    def test_product_entries_that_cancel_or_add_up_to_p(self):
+        x = 12345
+        a = ExactMatrix(2, {(0, 0): Fraction(1), (0, 1): Fraction(1), (1, 0): Fraction(2)})
+        # Column 0 of a * b sums to 0 over Q, column 1 to exactly P.
+        b = ExactMatrix(2, {(0, 0): Fraction(2), (1, 0): Fraction(-2),
+                            (0, 1): Fraction(x), (1, 1): Fraction(RESIDUE_PRIME - x)})
+        ra, rb = _residues(a), _residues(b)
+        assert dict((ra * rb).items()) == {(1, 0): 4, (1, 1): 2 * x}
+        self._assert_same(ra * rb, a * b)
+        # Sums that are exactly P, and differences of equal residues, vanish too.
+        assert (rb + ResidueMatrix(2, {(0, 1): RESIDUE_PRIME - x})).entry(0, 1) is None
+        assert (ra - ResidueMatrix(2, {(1, 0): 2 + RESIDUE_PRIME})).entry(1, 0) is None
+
+    def test_construction_reduces_mod_p(self):
+        m = ResidueMatrix(2, {(0, 0): -1, (0, 1): RESIDUE_PRIME, (1, 1): 2 * RESIDUE_PRIME + 3})
+        assert dict(m.items()) == {(0, 0): RESIDUE_PRIME - 1, (1, 1): 3}
+        assert ResidueMatrix.identity(3, 1).is_identity()
+
+    @pytest.mark.parametrize("spins", [(1, 1, 1), (2, 1, 2), (1, 2, 1, 1)])
+    def test_entries_at_a_residue_point_are_ints_in_range(self, spins):
+        ctx = tensor_context(spins, ResidueDomain(Fraction(43, 21)))
+        rng = random.Random(7)
+        leg = tensor_context(spins[:1], ctx.domain)
+        mats = [ctx.identity()] + [represent(random_element(c.arity, rng), c)
+                                   for c in (ctx, leg) for _ in range(3)]
+        for mod in ctx.modules:
+            mats += [mod.e, mod.f, mod.k, mod.kinv, mod.monomial(PBWMonomial(1, 1, -2))]
+        for a, b in itertools.permutations(ctx.modules, 2):
+            mats += [core(a, b) for core in (reps._rt_core, reps._r_core_inverse,
+                                             reps._rt_core_inverse)]
+            mats.append(reps._r_core(a, b, 0))
+        mats += intermediate_casimirs(ctx).values()
+        for m in mats:
+            _assert_residue_entries(m)
+
+    @pytest.mark.parametrize("domain, kind", [(D, ExactMatrix),
+                                              (PointDomain(Fraction(5, 3)), ExactMatrix),
+                                              (ResidueDomain(Fraction(5, 3)), ResidueMatrix)],
+                             ids=["symbolic", "point", "residue"])
+    def test_domain_picks_the_kernel_and_results_keep_it(self, domain, kind):
+        ctx = tensor_context((1, 2, 1), domain)
+        pair = tensor_context((1, 2), domain)
+        a, b = spin_module(2, domain).e, spin_module(2, domain).k
+        assert matrix_type(domain) is ctx.matrix is kind
+        roots = [a, b, ctx.identity(), represent(coproduct(casimir()), pair), r_matrix((1, 2), pair),
+                 r_tilde_inverse((1, 2), pair), permutation_operator((1, 3), ctx),
+                 coproduct_split_r(ctx, "id_coproduct"), *intermediate_casimirs(ctx).values()]
+        derived = [a + b, a - b, -a, a * b, a.kron(b), a.scale(domain.q(1)), a.scale(domain.zero),
+                   embed_two_leg(r_matrix((1, 2), pair), (1, 2), ctx),
+                   block_slice(ctx.identity(), frozenset({0, 1}))]
+        assert all(type(m) is kind for m in roots + derived)
+        other = ExactMatrix if kind is ResidueMatrix else ResidueMatrix
+        mixed = other(a.dim, {(0, 0): 1})
+        for op in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y,
+                   lambda x, y: x.kron(y)):
+            with pytest.raises(TypeError):
+                op(a, mixed)
+            with pytest.raises(TypeError):
+                op(mixed, a)

@@ -223,19 +223,32 @@ class TestDenseForm:
         assert _divide_cyclotomic(g * p * cyclotomic(8), 8) == g * p
 
 
+def _heap_peak(config: str) -> int:
+    """The tracemalloc peak of run_suite('all', RunConfig(config)) in bytes.
+
+    A fresh interpreter, so that no earlier test has filled SYMBOLIC's memo
+    or the process-wide tables; the peak counts the run, not the import.
+    """
+    code = ("import tracemalloc\n"
+            "from qaw.checks import RunConfig, run_suite\n"
+            "tracemalloc.start()\n"
+            f"assert run_suite('all', RunConfig({config})).passed\n"
+            "print(tracemalloc.get_traced_memory()[1])\n")
+    src = str(Path(qaw.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True, timeout=120)
+    return int(out.stdout)
+
+
 class TestExactMemory:
     def test_exact_all_heap_peak(self):
-        # A fresh interpreter, so that no earlier test has filled SYMBOLIC's
-        # memo; the peak counts the run, not the import.
-        code = ("import tracemalloc\n"
-                "from qaw.checks import RunConfig, run_suite\n"
-                "tracemalloc.start()\n"
-                "assert run_suite('all', RunConfig(spins=(2, 2, 2))).passed\n"
-                "print(tracemalloc.get_traced_memory()[1])\n")
-        src = str(Path(qaw.__file__).resolve().parents[1])
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             env={**os.environ, "PYTHONPATH": src}, check=True, timeout=120)
-        assert int(out.stdout) < 0.85 * 2 ** 20
+        assert _heap_peak("spins=(2, 2, 2)") < 0.85 * 2 ** 20
+
+
+class TestEvalMemory:
+    def test_eval_all_heap_peak(self):
+        # Residue values are plain ints, not one wrapper object each.
+        assert _heap_peak("spins=(2, 2, 2), mode='eval', eval_points=20") < 0.64 * 2 ** 20
 
 
 class TestCycloFrac:
@@ -493,7 +506,7 @@ class TestDomains:
         for n in range(8):
             assert SYMBOLIC.q_int(n).evaluate(s0) == pt.q_int(n)
             assert SYMBOLIC.series_coeff(n).evaluate(s0) == pt.series_coeff(n)
-            assert res.series_coeff(n).v == _mod_p(pt.series_coeff(n))
+            assert res.series_coeff(n) == _mod_p(pt.series_coeff(n))
         assert SYMBOLIC.s(3).evaluate(s0) == pt.s(3)
 
     def test_point_domain_rejects_forbidden(self):
@@ -510,15 +523,20 @@ class TestDomains:
     @pytest.mark.parametrize("domain", [SYMBOLIC, PointDomain(Fraction(5, 3)),
                                         ResidueDomain(Fraction(5, 3))], ids=repr)
     def test_scalars_are_images(self, domain):
-        # Each scalar a domain hands out is the image of its CycloFrac.
+        # Each scalar a domain hands out is the image of its CycloFrac.  The
+        # powers of s are computed in the field: at the point over Q, reduced
+        # mod P, for the residue domain, whose ints have no arithmetic of their own.
+        field = PointDomain(domain.s0) if domain.modulus else domain
         for k in range(-5, 6):
+            power = field.s(1) ** k
             assert domain.s(k) == domain.image(CycloFrac(LaurentPoly.s_power(k))) \
-                == domain.s(1) ** k
+                == (_mod_p(power) if domain.modulus else power)
             assert domain.q(k) == domain.image(CycloFrac(LaurentPoly.q_power(k))) \
                 == domain.s(2 * k)
             assert domain.integer(k) == domain.image(CycloFrac(k))
         assert domain.zero == domain.image(CycloFrac(0)) and not domain.zero
         assert domain.one == domain.image(CycloFrac(1)) == domain.one * domain.one
+        assert domain.q_diff_inverse() == domain.image(CycloFrac(1, LaurentPoly({2: 1, -2: -1})))
         for n in range(8):
             assert domain.q_int(n) == domain.image(CycloFrac(q_integer(n)))
             assert domain.series_coeff(n) == domain.image(r_series_coefficient(n))
@@ -537,34 +555,29 @@ class TestResidueDomain:
     POINTS = (Fraction(5, 3), Fraction(51, 55), Fraction(2, 97), Fraction(-7, 4), Fraction(96, 95))
 
     def test_matches_point_domain_mod_p(self):
-        # PointDomain's Fraction values, reduced mod P, are the reference.
+        # PointDomain's Fraction values, reduced mod P, are the reference:
+        # the image of each value, and of sums, products and quotients of
+        # values, is an int in [0, P) and falsy exactly when it is 0 mod P.
         rng = random.Random(13)
         gen = TestCycloFrac()
         for s0 in self.POINTS:
             res, pt = ResidueDomain(s0), PointDomain(s0)
             for _ in range(40):
-                values = []
-                for x in (gen._pair(rng), gen._pair(rng),
-                          gen._pair(rng, cyclotomic_num=True)):
-                    values.append((res.image(x), pt.image(x)))
-                    assert values[-1][0].v == _mod_p(values[-1][1])
-                (a, fa), (b, fb), (u, fu) = values
+                a, b = gen._pair(rng), gen._pair(rng)
+                u = gen._pair(rng, cyclotomic_num=True)
                 poly = CycloFrac(LaurentPoly({rng.randint(-6, 6): rng.randint(-9, 9)
                                               for _ in range(4)}))
                 n = rng.randint(-3, 3)
-                pairs = [(res.image(poly), pt.image(poly)),
-                         (a + b, fa + fb), (a - b, fa - fb), (a * b, fa * fb),
-                         (a / u, fa / fu), (u ** n, fu ** n), (-a, -fa),
-                         (3 + a, 3 + fa), (a - 5, fa - 5), (2 - a, 2 - fa),
-                         (a * -4, fa * -4), (1 / u, 1 / fu)]
-                for got, want in pairs:
-                    assert got.v == _mod_p(want)
-                    assert got == _mod_p(want) and bool(got) == (want != 0)
+                for x in (a, b, u, poly, a + b, a - b, a * b, a / u, u ** n, -a,
+                          3 + a, a - 5, 2 - a, a * -4, 1 / u):
+                    got, want = res.image(x), _mod_p(pt.image(x))
+                    assert type(got) is int and 0 <= got < RESIDUE_PRIME
+                    assert got == want and bool(got) == (pt.image(x) != 0)
 
     def test_domain_values(self):
         res = ResidueDomain(Fraction(5, 3))
-        assert res.s(1) * 3 == 5 and res.s(-1) * 5 == 3
-        assert res.q(2) == res.s(4) == res.s(1) ** 4
+        assert res.s(1) * 3 % RESIDUE_PRIME == 5 and res.s(-1) * 5 % RESIDUE_PRIME == 3
+        assert res.q(2) == res.s(4) == pow(res.s(1), 4, RESIDUE_PRIME)
         assert res.integer(-1) == RESIDUE_PRIME - 1 and not res.zero and res.one == 1
         assert res.describe() == PointDomain(Fraction(5, 3)).describe() == "s=5/3"
         assert res == ResidueDomain(Fraction(5, 3)) != PointDomain(Fraction(5, 3))
@@ -572,7 +585,7 @@ class TestResidueDomain:
 
     def test_distinct_sample_points_have_distinct_residues(self):
         points = {Fraction(p, r) for p in range(2, 98) for r in range(2, 98) if p != r}
-        assert len({ResidueDomain(s0).s(1).v for s0 in points}) == len(points) == 5704
+        assert len({ResidueDomain(s0).s(1) for s0 in points}) == len(points) == 5704
         assert SAMPLE_POINT_COUNT == len(points)
 
     def test_zero_denominator_mod_p_is_a_pole(self):
@@ -584,7 +597,7 @@ class TestResidueDomain:
         assert PointDomain(s0).series_coeff(3) != 0
         at_one = ResidueDomain(Fraction(2 ** 61))  # s0 = P + 1, so q - 1/q = 0 mod P
         with pytest.raises(PoleError):
-            at_one.one / (at_one.q(1) - at_one.q(-1))
+            at_one.q_diff_inverse()
         with pytest.raises(PoleError):
             ResidueDomain(Fraction(RESIDUE_PRIME, 2))
 
@@ -604,9 +617,9 @@ class TestImage:
         for c in self._coefficients():
             assert SYMBOLIC.image(c) is c
             assert pt.image(c) == c.evaluate(s0)
-            assert res.image(c) * res.image(CycloFrac(c.denominator())) == \
+            assert res.image(c) * res.image(CycloFrac(c.denominator())) % RESIDUE_PRIME == \
                 res.image(CycloFrac(c.num))
-            assert res.image(c).v == _mod_p(c.evaluate(s0))
+            assert res.image(c) == _mod_p(c.evaluate(s0))
 
     def test_residue_image_at_a_pole(self):
         at_one = ResidueDomain(Fraction(2 ** 61))  # s0 = P + 1, so q - 1/q = 0 mod P
