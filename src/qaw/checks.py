@@ -62,10 +62,15 @@ premise fails, the restricted check fails without running: its witness is
 residual_terms counts the failed premises.  Otherwise residual_terms and
 the witness of a failing restricted check count and name W_low entries
 (full-space indices).
+
+Every check is built by ``_check``, and its runtime_ms covers exactly its
+premise gate, its compute and its witness text.  Everything else a check
+group does, such as building the operands its checks share, is setup_ms.
 """
 
 from __future__ import annotations
 
+import operator
 import random
 import time
 from dataclasses import dataclass, field
@@ -163,7 +168,7 @@ class SuiteReport:
 
 
 # ---------------------------------------------------------------------------
-# residual extraction
+# residuals and the check builder
 # ---------------------------------------------------------------------------
 
 def _residual_entries(diff) -> list[str]:
@@ -177,22 +182,42 @@ def _elapsed_ms(started: int) -> float:
     return (time.perf_counter_ns() - started) / 1e6
 
 
-def _make_result(name: str, params: dict, diffs, started: int) -> CheckResult:
-    """Build a CheckResult from one or more must-be-zero differences."""
-    if not isinstance(diffs, (list, tuple)):
-        diffs = [diffs]
-    entries: list[str] = []
-    for d in diffs:
-        entries.extend(_residual_entries(d))
-    witness = max(entries, key=lambda t: (len(t), t)) if entries else ""
-    return CheckResult(
-        name=name,
-        params=params,
-        passed=not entries,
-        residual_terms=len(entries),
-        witness=witness,
-        runtime_ms=_elapsed_ms(started),
-    )
+def _residual(diffs) -> tuple[int, str]:
+    """The nonzero entries of must-be-zero differences: their count and the longest."""
+    entries = [e for d in diffs for e in _residual_entries(d)]
+    return len(entries), max(entries, key=lambda t: (len(t), t), default="")
+
+
+_BRACKET_CONVENTION = "q*xy - 1/q*yx"
+
+
+def _calibration(diffs) -> tuple[int, str]:
+    """A relation's (chosen, rejected) differences: the chosen bracket must
+    satisfy it and the reversed one must not."""
+    chosen, rejected = diffs
+    entries = _residual_entries(chosen)
+    if rejected.is_zero():
+        return len(entries) + 1, "rejected bracket convention also satisfied"
+    return len(entries), entries[0] if entries else ""
+
+
+def _check(name: str, params: dict, compute, store: RunStore | None = None,
+           premises=(), verdict=_residual) -> CheckResult:
+    """Time one check: its premise gate, compute() and verdict(compute()).
+
+    If an operand in premises is not certified in store, the check fails
+    without calling compute: a residual on W_low proves nothing about an
+    operand outside the centralizer.  verdict returns (residual_terms, witness).
+    compute is called before _check returns, so it may close over a loop variable.
+    """
+    started = time.perf_counter_ns()
+    failed = [op for op in CENTRALIZER_OPERANDS if op in premises and not store.certified(op)]
+    if failed:
+        residual, witness = len(failed), f"premise theorem.centralizer[{failed[0]}] failed"
+    else:
+        residual, witness = verdict(compute())
+    return CheckResult(name=name, params=params, passed=residual == 0, residual_terms=residual,
+                       witness=witness, runtime_ms=_elapsed_ms(started))
 
 
 def _params(ctx_or_domain, **extra) -> dict:
@@ -304,37 +329,31 @@ def check_structure(ctx: TensorContext, rng_seed: int = 0,
                     elements: ElementStore | None = None) -> list[CheckResult]:
     domain = ctx.domain
     elements = elements or ElementStore()
-    out = []
+    two_js = sorted(set(ctx.spins))
 
-    for two_j in sorted(set(ctx.spins)):
-        t0 = time.perf_counter_ns()
-        diffs = reps.spin_module(two_j, domain).defining_relations()
-        out.append(_make_result(f"structure.defining_relations[two_j={two_j}]",
-                                _params(ctx), diffs, t0))
+    def morphism():
+        diffs = [reps.represent(xy, ctx) - reps.represent(x, ctx) * reps.represent(y, ctx)
+                 for x, y, xy in elements.morphism_trials(ctx.arity, rng_seed)]
+        return diffs + [reps.represent(alg.unit_element(ctx.arity), ctx) - ctx.identity()]
 
-    t0 = time.perf_counter_ns()
-    out.append(_make_result("structure.casimir_centrality", _params(ctx),
-                            _at(domain, elements.casimir_centrality), t0))
-
-    t0 = time.perf_counter_ns()
-    out.append(_make_result("structure.coassociativity", _params(ctx),
-                            _at(domain, elements.coassociativity), t0))
-
-    t0 = time.perf_counter_ns()
-    diffs = [reps.represent(xy, ctx) - reps.represent(x, ctx) * reps.represent(y, ctx)
-             for x, y, xy in elements.morphism_trials(ctx.arity, rng_seed)]
-    diffs.append(reps.represent(alg.unit_element(ctx.arity), ctx) - ctx.identity())
-    out.append(_make_result("structure.represent_morphism",
-                            _params(ctx, trials=3, seed=rng_seed), diffs, t0))
-
-    for two_j in sorted(set(ctx.spins)):
-        t0 = time.perf_counter_ns()
+    def casimir_scalar(two_j):
         leg = tensor_context((two_j,), domain)
         mat = reps.represent(elements.casimir, leg)
         oracle = reps.casimir_scalar_highest_weight(two_j, domain)
-        diffs = [mat - leg.identity().scale(oracle)]
-        out.append(_make_result(f"structure.casimir_scalar[two_j={two_j}]",
-                                _params(ctx), diffs, t0))
+        return [mat - leg.identity().scale(oracle)]
+
+    out = [_check(f"structure.defining_relations[two_j={two_j}]", _params(ctx),
+                  lambda: reps.spin_module(two_j, domain).defining_relations())
+           for two_j in two_js]
+    out.append(_check("structure.casimir_centrality", _params(ctx),
+                      lambda: _at(domain, elements.casimir_centrality)))
+    out.append(_check("structure.coassociativity", _params(ctx),
+                      lambda: _at(domain, elements.coassociativity)))
+    out.append(_check("structure.represent_morphism", _params(ctx, trials=3, seed=rng_seed),
+                      morphism))
+    out += [_check(f"structure.casimir_scalar[two_j={two_j}]", _params(ctx),
+                   lambda: casimir_scalar(two_j))
+            for two_j in two_js]
     return out
 
 
@@ -354,58 +373,39 @@ def check_rmatrix_axioms(ctx: TensorContext,
     coproducts = (elements or ElementStore()).coproducts
     out = []
 
-    for legs in _leg_pairs(ctx.arity):
-        a, b = legs
+    for a, b in _leg_pairs(ctx.arity):
         pair = tensor_context((ctx.spins[a - 1], ctx.spins[b - 1]), domain)
         rr = reps.r_matrix((1, 2), pair)
         rt = reps.r_tilde((1, 2), pair)
-
-        t0 = time.perf_counter_ns()
-        diffs = [reps.represent(cop, pair) * rr - rr * reps.represent(op, pair)
-                 for cop, op in coproducts]
-        out.append(_make_result(f"rmatrix.intertwining[legs={a}{b}]",
-                                _params(ctx, legs=[a, b]), diffs, t0))
-
-        t0 = time.perf_counter_ns()
-        diffs = [reps.represent(op, pair) * rt - rt * reps.represent(cop, pair)
-                 for cop, op in coproducts]
-        out.append(_make_result(f"rmatrix.opposite_intertwining[legs={a}{b}]",
-                                _params(ctx, legs=[a, b]), diffs, t0))
-
-        t0 = time.perf_counter_ns()
-        diffs = [rr * reps.r_matrix_inverse((1, 2), pair) - pair.identity()]
-        out.append(_make_result(f"rmatrix.invertibility[legs={a}{b}]",
-                                _params(ctx, legs=[a, b]), diffs, t0))
-
-        t0 = time.perf_counter_ns()
-        via_flip, via_series = reps._rt_core_two_ways(pair.modules[0], pair.modules[1])
-        out.append(_make_result(f"rmatrix.flip_series_agreement[legs={a}{b}]",
-                                _params(ctx, legs=[a, b]), [via_flip - via_series], t0))
-
-        t0 = time.perf_counter_ns()
-        bound = min(pair.spins[0], pair.spins[1])
-        diffs = [reps.r_series_term((1, 2), pair, bound + 1),
-                 reps.r_matrix((1, 2), pair, extra_terms=1) - rr]
-        out.append(_make_result(f"rmatrix.truncation[legs={a}{b}]",
-                                _params(ctx, legs=[a, b], bound=bound), diffs, t0))
+        bound = min(pair.spins)
+        out += [
+            _check(f"rmatrix.intertwining[legs={a}{b}]", _params(ctx, legs=[a, b]), lambda: [
+                reps.represent(cop, pair) * rr - rr * reps.represent(op, pair)
+                for cop, op in coproducts]),
+            _check(f"rmatrix.opposite_intertwining[legs={a}{b}]", _params(ctx, legs=[a, b]),
+                   lambda: [reps.represent(op, pair) * rt - rt * reps.represent(cop, pair)
+                            for cop, op in coproducts]),
+            _check(f"rmatrix.invertibility[legs={a}{b}]", _params(ctx, legs=[a, b]),
+                   lambda: [rr * reps.r_matrix_inverse((1, 2), pair) - pair.identity()]),
+            # The Rtilde core via the flip minus via its series.
+            _check(f"rmatrix.flip_series_agreement[legs={a}{b}]", _params(ctx, legs=[a, b]),
+                   lambda: [operator.sub(*reps._rt_core_two_ways(*pair.modules))]),
+            _check(f"rmatrix.truncation[legs={a}{b}]", _params(ctx, legs=[a, b], bound=bound),
+                   lambda: [reps.r_series_term((1, 2), pair, bound + 1),
+                            reps.r_matrix((1, 2), pair, extra_terms=1) - rr]),
+        ]
 
     if ctx.arity >= 3:
         sub = ctx if ctx.arity == 3 else tensor_context(ctx.spins[:3], domain)
-        r12 = reps.r_matrix((1, 2), sub)
-        r13 = reps.r_matrix((1, 3), sub)
-        r23 = reps.r_matrix((2, 3), sub)
-
-        t0 = time.perf_counter_ns()
-        diffs = [r12 * r13 * r23 - r23 * r13 * r12]
-        out.append(_make_result("rmatrix.yang_baxter", _params(sub), diffs, t0))
-
-        t0 = time.perf_counter_ns()
-        diffs = [reps.coproduct_split_r(sub, "id_coproduct") - r12 * r13]
-        out.append(_make_result("rmatrix.split_id_coproduct", _params(sub), diffs, t0))
-
-        t0 = time.perf_counter_ns()
-        diffs = [reps.coproduct_split_r(sub, "coproduct_id") - r23 * r13]
-        out.append(_make_result("rmatrix.split_coproduct_id", _params(sub), diffs, t0))
+        r12, r13, r23 = (reps.r_matrix(legs, sub) for legs in ((1, 2), (1, 3), (2, 3)))
+        out += [
+            _check("rmatrix.yang_baxter", _params(sub),
+                   lambda: [r12 * r13 * r23 - r23 * r13 * r12]),
+            _check("rmatrix.split_id_coproduct", _params(sub),
+                   lambda: [reps.coproduct_split_r(sub, "id_coproduct") - r12 * r13]),
+            _check("rmatrix.split_coproduct_id", _params(sub),
+                   lambda: [reps.coproduct_split_r(sub, "coproduct_id") - r23 * r13]),
+        ]
     return out
 
 
@@ -527,25 +527,14 @@ class RunStore:
         return self._low[name]
 
 
-def _premise_failure(store: RunStore, operands, name: str, params: dict,
-                     started: int) -> CheckResult | None:
-    """A failed result naming the first uncertified operand, or None if all are certified.
-
-    A residual on W_low proves nothing about an operand outside the
-    centralizer, so a restricted check never passes on one.
-    """
-    failed = [f"theorem.centralizer[{op}]" for op in CENTRALIZER_OPERANDS
-              if op in operands and not store.certified(op)]
-    if not failed:
-        return None
-    return CheckResult(
-        name=name,
-        params=params,
-        passed=False,
-        residual_terms=len(failed),
-        witness=f"premise {failed[0]} failed",
-        runtime_ms=_elapsed_ms(started),
-    )
+def _run_store(ctx: TensorContext, store: RunStore | None) -> RunStore:
+    """store, or a new RunStore on ctx if it is None; a store built on
+    another context raises ArityMismatchError."""
+    if store is None:
+        return RunStore(ctx)
+    if (store.ctx.spins, store.ctx.domain) != (ctx.spins, ctx.domain):
+        raise alg.ArityMismatchError(f"a RunStore on {store.ctx!r} cannot check {ctx!r}")
+    return store
 
 
 # ---------------------------------------------------------------------------
@@ -555,32 +544,24 @@ def _premise_failure(store: RunStore, operands, name: str, params: dict,
 def check_theorem_c13(ctx: TensorContext, store: RunStore | None = None) -> list[CheckResult]:
     if ctx.arity != 3:
         raise alg.ArityMismatchError("theorem checks need exactly three legs")
-    store = RunStore(ctx) if store is None else store
-    ic = store.casimirs
-    out = []
+    store = _run_store(ctx, store)
+    ic, low = store.casimirs, store.low
 
-    t0 = time.perf_counter_ns()
-    out.append(_make_result("theorem.c13_0_two_routes", _params(ctx),
-                            [ic["C13_0"] - ic["C13_0_via_r12"]], t0))
-    t0 = time.perf_counter_ns()
-    out.append(_make_result("theorem.c13_1_two_routes", _params(ctx),
-                            [ic["C13_1"] - ic["C13_1_via_r23"]], t0))
-
-    for name in ("C12", "C23", "C13_0", "C13_1", "C123"):
-        t0 = time.perf_counter_ns()
-        out.append(_make_result(f"theorem.centralizer[{name}]", _params(ctx),
-                                store.centralizer_residuals(name), t0))
+    out = [_check("theorem.c13_0_two_routes", _params(ctx),
+                  lambda: [ic["C13_0"] - ic["C13_0_via_r12"]]),
+           _check("theorem.c13_1_two_routes", _params(ctx),
+                  lambda: [ic["C13_1"] - ic["C13_1_via_r23"]])]
+    out += [_check(f"theorem.centralizer[{name}]", _params(ctx),
+                   lambda: store.centralizer_residuals(name))
+            for name in ("C12", "C23", "C13_0", "C13_1", "C123")]
 
     # Partial check that the one-leg Casimirs and the total Casimir are
     # central in the centralizer: they commute with every constructed
     # centralizing element (the full centralizer is not enumerable).
-    t0 = time.perf_counter_ns()
-    failure = _premise_failure(store, CASIMIR_OPERANDS,
-                               "theorem.central_elements_commute", _params(ctx), t0)
-    out.append(failure or _make_result(
-        "theorem.central_elements_commute", _params(ctx),
-        [store.low(a) * store.low(b) - store.low(b) * store.low(a)
-         for a in ("C1", "C2", "C3", "C123") for b in ("C12", "C23", "C13_0", "C13_1")], t0))
+    out.append(_check("theorem.central_elements_commute", _params(ctx), lambda: [
+        low(a) * low(b) - low(b) * low(a)
+        for a in ("C1", "C2", "C3", "C123") for b in ("C12", "C23", "C13_0", "C13_1")],
+        store, CASIMIR_OPERANDS))
 
     # C13_1 = X C13_0 X^-1 with X = R23 Rt23, and C13_1 = X^-1 C13_0 X with
     # X = R12 Rt12.  X is invertible (the closed-form R^-1 passed its product
@@ -588,20 +569,16 @@ def check_theorem_c13(ctx: TensorContext, store: RunStore | None = None) -> list
     # the checks compare C13_1 X with X C13_0 and X C13_1 with C13_0 X.  X is
     # certified on its pair, so the residual lies in the centralizer and is
     # compared on W_low.
-    for legs, mirrored in (((2, 3), False), ((1, 2), True)):
-        name, x_name = f"theorem.conjugation_r{legs[0]}{legs[1]}", f"X{legs[0]}{legs[1]}"
-        t0 = time.perf_counter_ns()
-        result = _premise_failure(store, ("C13_0", "C13_1", x_name), name, _params(ctx), t0)
-        if result is None:
-            x, c13_0, c13_1 = store.low(x_name), store.low("C13_0"), store.low("C13_1")
-            diff = x * c13_1 - c13_0 * x if mirrored else c13_1 * x - x * c13_0
-            result = _make_result(name, _params(ctx), [diff], t0)
-        out.append(result)
+    def conjugation(x_name, mirrored):
+        x, c13_0, c13_1 = low(x_name), low("C13_0"), low("C13_1")
+        return [x * c13_1 - c13_0 * x if mirrored else c13_1 * x - x * c13_0]
 
-    t0 = time.perf_counter_ns()
-    sym = reps.represent(store.elements.c13_zero, ctx)
-    out.append(_make_result("theorem.c13_0_symbolic_route", _params(ctx),
-                            [sym - ic["C13_0"]], t0))
+    out += [_check(f"theorem.conjugation_r{legs}", _params(ctx),
+                   lambda: conjugation(f"X{legs}", legs == "12"),
+                   store, ("C13_0", "C13_1", f"X{legs}"))
+            for legs in ("23", "12")]
+    out.append(_check("theorem.c13_0_symbolic_route", _params(ctx), lambda: [
+        reps.represent(store.elements.c13_zero, ctx) - ic["C13_0"]]))
     return out
 
 
@@ -636,21 +613,14 @@ def check_tau(ctx2: TensorContext, ctx3: TensorContext,
         raise alg.ArityMismatchError("contexts use different scalar domains")
     domain = ctx2.domain
     elements = elements or ElementStore()
-    out = []
 
     second_leg = tensor_context((ctx2.spins[1],), domain)
-    for name, (x, tau_x, _) in elements.tau.items():
-        t0 = time.perf_counter_ns()
-        closed = reps.represent(tau_x, ctx2)
-        conjugated = _tau_matrix(ctx2, reps.represent(x, second_leg))
-        out.append(_make_result(f"tau.closed_form[{name}]",
-                                _params(ctx2), [closed - conjugated], t0))
-
-    for name, (_, tau_x, lifted) in elements.tau.items():
-        t0 = time.perf_counter_ns()
-        lhs = reps.represent(lifted, ctx3)
-        out.append(_make_result(f"tau.left_coaction[{name}]",
-                                _params(ctx3), [lhs - _id_tau_matrix(tau_x, ctx3)], t0))
+    out = [_check(f"tau.closed_form[{name}]", _params(ctx2), lambda: [
+               reps.represent(tau_x, ctx2) - _tau_matrix(ctx2, reps.represent(x, second_leg))])
+           for name, (x, tau_x, _) in elements.tau.items()]
+    out += [_check(f"tau.left_coaction[{name}]", _params(ctx3), lambda: [
+                reps.represent(lifted, ctx3) - _id_tau_matrix(tau_x, ctx3)])
+            for name, (_, tau_x, lifted) in elements.tau.items()]
 
     # (id @ D) tau_check(x) = R12 tau_check(x)_13 R12^-1 = split x_1 split^-1,
     # times R12^-1 on the left and split on the right: emb Y = Y x_1 with
@@ -663,44 +633,29 @@ def check_tau(ctx2: TensorContext, ctx3: TensorContext,
     # tau.right_coaction[C] holds for every Y: C acts on leg 1 as a scalar
     # c, so x_1 = c 1, tau_check(C)_13 = c 1 and emb Y - Y x_1 = 0.  It is
     # kept because the report goldens and bench/workloads.json pin its name.
-    for g in ("E", "F", "K", "C"):
-        t0 = time.perf_counter_ns()
+    def right_coaction(g):
         x = elements.casimir if g == "C" else alg.generator(g)
         x_on_1 = reps.represent(x, tensor_context((ctx3.spins[0],), domain))
         x1 = reps.embed_legs(x_on_1, (1,), ctx3)
         tau_check = r13p * reps.embed_legs(x_on_1, (1,), pair13) * r13pi
         emb = reps.embed_two_leg(tau_check, (1, 3), ctx3)
-        out.append(_make_result(f"tau.right_coaction[{g}]",
-                                _params(ctx3), [emb * y - y * x1], t0))
+        return [emb * y - y * x1]
 
-    t0 = time.perf_counter_ns()
-    cop, sweedler = elements.casimir_coproducts
-    acc = _id_tau_matrix(cop, ctx3)
-    c13 = reps.represent(sweedler, ctx3)
-    direct = reps.r_tilde_inverse((2, 3), ctx3) * c13 * reps.r_tilde((2, 3), ctx3)
-    out.append(_make_result("tau.c13_via_coaction", _params(ctx3), [acc - direct], t0))
+    def c13_via_coaction():
+        cop, sweedler = elements.casimir_coproducts
+        acc = _id_tau_matrix(cop, ctx3)
+        c13 = reps.represent(sweedler, ctx3)
+        return [acc - reps.r_tilde_inverse((2, 3), ctx3) * c13 * reps.r_tilde((2, 3), ctx3)]
+
+    out += [_check(f"tau.right_coaction[{g}]", _params(ctx3), lambda: right_coaction(g))
+            for g in ("E", "F", "K", "C")]
+    out.append(_check("tau.c13_via_coaction", _params(ctx3), c13_via_coaction))
     return out
 
 
 # ---------------------------------------------------------------------------
 # the Askey-Wilson relations
 # ---------------------------------------------------------------------------
-
-def _bracket_calibration(name: str, params: dict, chosen, rejected,
-                         started: int) -> CheckResult:
-    """The relation's difference must vanish for the chosen bracket, not the reversed one."""
-    entries = _residual_entries(chosen)
-    residual = len(entries) + (1 if rejected.is_zero() else 0)
-    return CheckResult(
-        name=name,
-        params=dict(params, convention="q*xy - 1/q*yx"),
-        passed=residual == 0,
-        residual_terms=residual,
-        witness="" if residual == 0 else "rejected bracket convention also satisfied"
-        if rejected.is_zero() else entries[0],
-        runtime_ms=_elapsed_ms(started),
-    )
-
 
 # (x, y, z, a, b, c, d): [x, y]_q / (q - 1/q) = z + a b + c d.
 _AW3_RELATIONS = (
@@ -716,16 +671,13 @@ _AW3_RELATIONS = (
 def check_aw3(ctx: TensorContext, store: RunStore | None = None) -> list[CheckResult]:
     if ctx.arity != 3:
         raise alg.ArityMismatchError("AW(3) checks need exactly three legs")
-    store = RunStore(ctx) if store is None else store
+    store = _run_store(ctx, store)
     domain = ctx.domain
     qp, qm, inv_qdiff = domain.q(1), domain.q(-1), domain.q_diff_inverse()
-    products: dict[tuple[str, str], ExactMatrix] = {}
+    prod = cache(lambda a, b: store.low(a) * store.low(b))
 
-    def prod(a, b):
-        if (a, b) not in products:
-            products[(a, b)] = store.low(a) * store.low(b)
-        return products[(a, b)]
-
+    # Cached, so the calibration reuses the first relation's difference.
+    @cache
     def difference(relation, reverse=False):
         x, y, z, a, b, c, d = relation
         kx, ky = (qm, qp) if reverse else (qp, qm)
@@ -735,59 +687,35 @@ def check_aw3(ctx: TensorContext, store: RunStore | None = None) -> list[CheckRe
     # The premises are shared setup, built before the first check's clock.
     for name in CASIMIR_OPERANDS:
         store.certified(name)
-    out, diffs = [], {}
-    for relation in _AW3_RELATIONS:
-        name = f"aw3.relation[{relation[0]},{relation[1]}]"
-        t0 = time.perf_counter_ns()
-        failure = _premise_failure(store, relation, name, _params(ctx), t0)
-        if failure is None:
-            diffs[relation] = difference(relation)
-        out.append(failure or _make_result(name, _params(ctx), [diffs[relation]], t0))
-
-    # The calibration shares the first relation's premises, so its difference
-    # was computed above whenever they hold.
-    t0 = time.perf_counter_ns()
-    relation = _AW3_RELATIONS[0]
-    failure = _premise_failure(store, relation, "aw3.bracket_calibration",
-                               dict(_params(ctx), convention="q*xy - 1/q*yx"), t0)
-    out.append(failure or _bracket_calibration(
-        "aw3.bracket_calibration", _params(ctx), diffs[relation],
-        difference(relation, reverse=True), t0))
+    out = [_check(f"aw3.relation[{relation[0]},{relation[1]}]", _params(ctx),
+                  lambda: [difference(relation)], store, relation)
+           for relation in _AW3_RELATIONS]
+    first = _AW3_RELATIONS[0]
+    out.append(_check("aw3.bracket_calibration", _params(ctx, convention=_BRACKET_CONVENTION),
+                      lambda: (difference(first), difference(first, reverse=True)),
+                      store, first, _calibration))
     return out
 
 
 def check_aw3_symbolic(domain: ScalarDomain,
                        elements: ElementStore | None = None) -> list[CheckResult]:
     diff, reversed_diff = _at(domain, (elements or ElementStore()).aw3_symbolic)
-    out = []
-
-    t0 = time.perf_counter_ns()
-    out.append(_make_result("aw3-symbolic.relation[C12,C23]",
-                            _params(domain), [diff], t0))
-
-    t0 = time.perf_counter_ns()
-    out.append(_bracket_calibration("aw3-symbolic.bracket_calibration", _params(domain),
-                                    diff, reversed_diff, t0))
-    return out
+    return [_check("aw3-symbolic.relation[C12,C23]", _params(domain), lambda: [diff]),
+            _check("aw3-symbolic.bracket_calibration",
+                   _params(domain, convention=_BRACKET_CONVENTION),
+                   lambda: (diff, reversed_diff), verdict=_calibration)]
 
 
 def check_aw4(ctx: TensorContext) -> list[CheckResult]:
     if ctx.arity != 4:
         raise alg.ArityMismatchError("AW(4) checks need exactly four legs")
     ic = reps.intermediate_casimirs(ctx)
-    out = []
-
-    t0 = time.perf_counter_ns()
-    out.append(_make_result("aw4.c13_0_two_routes", _params(ctx),
-                            [ic["C13_0"] - ic["C13_0_via_r12"]], t0))
-    t0 = time.perf_counter_ns()
-    out.append(_make_result("aw4.c24_1_two_routes", _params(ctx),
-                            [ic["C24_1"] - ic["C24_1_via_r34"]], t0))
-    t0 = time.perf_counter_ns()
     a, b = ic["C13_0"], ic["C24_1"]
-    out.append(_make_result("aw4.commutator[C13_0,C24_1]", _params(ctx),
-                            [a * b - b * a], t0))
-    return out
+    return [_check("aw4.c13_0_two_routes", _params(ctx),
+                   lambda: [ic["C13_0"] - ic["C13_0_via_r12"]]),
+            _check("aw4.c24_1_two_routes", _params(ctx),
+                   lambda: [ic["C24_1"] - ic["C24_1_via_r34"]]),
+            _check("aw4.commutator[C13_0,C24_1]", _params(ctx), lambda: [a * b - b * a])]
 
 
 # ---------------------------------------------------------------------------
@@ -796,12 +724,11 @@ def check_aw4(ctx: TensorContext) -> list[CheckResult]:
 
 def negative_control_check(domain: ScalarDomain) -> CheckResult:
     """A deliberately corrupted generator matrix; must FAIL (nonzero residual)."""
-    t0 = time.perf_counter_ns()
-    mod = reps.spin_module(1, domain)
-    bad = mod.e + mod.matrix(mod.dim, {(0, 0): domain.one})
-    diff = mod.k * bad - (bad * mod.k).scale(domain.q(1))
-    return _make_result("negative_control.corrupted_generator",
-                        _params(domain), [diff], t0)
+    def corrupted():
+        mod = reps.spin_module(1, domain)
+        bad = mod.e + mod.matrix(mod.dim, {(0, 0): domain.one})
+        return [mod.k * bad - (bad * mod.k).scale(domain.q(1))]
+    return _check("negative_control.corrupted_generator", _params(domain), corrupted)
 
 
 # ---------------------------------------------------------------------------

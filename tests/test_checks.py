@@ -1,4 +1,5 @@
 import gc
+import itertools
 import json
 import os
 import subprocess
@@ -305,8 +306,9 @@ class TestMergeEval:
 
     def test_runtimes_are_summed_unrounded(self, monkeypatch):
         # Each point's check takes 0.6 ms; run_suite rounds the sum once.
-        monkeypatch.setattr(checks.time, "perf_counter_ns", lambda: 600_000)
-        runs = [(f"s={p}", [checks._make_result("a", {}, [], 0)]) for p in range(2, 22)]
+        ticks = itertools.cycle((0, 600_000))
+        monkeypatch.setattr(checks.time, "perf_counter_ns", lambda: next(ticks))
+        runs = [(f"s={p}", [checks._check("a", {}, list)]) for p in range(2, 22)]
         assert round(_merge_eval(runs, RunConfig(mode="eval"))[0].runtime_ms) == 12
 
 
@@ -385,6 +387,25 @@ C13_0_CHECKS = ("aw3.relation[C12,C23]", "aw3.relation[C13_0,C12]",
 
 
 class TestRestrictedChecks:
+    def test_failed_premise_never_computes(self):
+        class Store:
+            def certified(self, name):
+                return name not in ("C23", "X23")
+
+        def compute():
+            raise AssertionError("compute ran on a failed premise")
+        result = checks._check("a", {}, compute, Store(), ("X23", "C1", "C23"))
+        assert (result.passed, result.residual_terms, result.witness) == (
+            False, 2, "premise theorem.centralizer[C23] failed")
+
+    @pytest.mark.parametrize("group", [check_aw3, check_theorem_c13])
+    @pytest.mark.parametrize("store_spins, domain", [
+        ((2, 1, 2), SYMBOLIC), ((1, 1, 1), PointDomain(Fraction(5, 3)))])
+    def test_store_on_another_context_is_rejected(self, group, store_spins, domain):
+        store = RunStore(tensor_context(store_spins, domain))
+        with pytest.raises(alg.ArityMismatchError, match="cannot check"):
+            group(tensor_context((1, 1, 1), SYMBOLIC), store)
+
     def test_uncertified_operand_fails_on_its_premise(self, monkeypatch):
         # e_(0,0) sits on the highest weight, off W_low, and does not commute
         # with Delta(E): the W_low residuals alone would all vanish.

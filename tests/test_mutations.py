@@ -220,3 +220,22 @@ def test_flipped_q_commutator_sign(monkeypatch, spins, mode):
     for name in [n for n in verdicts if n.startswith("aw3.relation[")] + [
             "aw3.bracket_calibration", "aw3-symbolic.relation[C12,C23]"]:
         assert not verdicts[name], name
+
+
+@RUNS
+def test_reused_bracket_convention(monkeypatch, spins, mode):
+    # Each product xy keeps the (kx, ky) it was first bracketed with, so the
+    # reversed convention gives back the chosen difference: only the two
+    # calibrations ask for it.
+    real, first = alg.q_bracket, {}  # each xy is kept, so its id is not reused
+
+    def reused(xy, yx, kx, ky):
+        _, kx, ky = first.setdefault(id(xy), (xy, kx, ky))
+        return real(xy, yx, kx, ky)
+    monkeypatch.setattr(alg, "q_bracket", reused)
+    failed = {name: c for name, c in _report(monkeypatch, GROUPS, spins, mode).items()
+              if not c.passed}
+    assert failed.keys() == {"aw3.bracket_calibration", "aw3-symbolic.bracket_calibration"}
+    for c in failed.values():
+        assert c.residual_terms == 1
+        assert c.witness.endswith("rejected bracket convention also satisfied")
