@@ -7,16 +7,15 @@ representations with exact rational-function matrix entries.
 """
 
 from .scalars import (LaurentPoly, CycloFrac, ScalarDomain,
-                      SymbolicDomain, PointDomain, ResidueDomain,
+                      SymbolicDomain, ResidueDomain,
                       RESIDUE_PRIME, SYMBOLIC, q_integer,
                       q_factorial, r_series_coefficient, cyclotomic,
                       random_admissible_point,
                       ForbiddenPointError, PoleError, NonCyclotomicError)
 from .algebra import (PBWMonomial, TensorElement, ArityMismatchError,
                       InvalidPatternError, UnsupportedElementError,
-                      normal_order_mul, casimir, commutator_F_En,
-                      coproduct, coproduct_op, coproduct_on_leg,
-                      extend_coproduct, q_commutator, tau_closed_form,
+                      normal_order_mul, casimir, coproduct, coproduct_op,
+                      coproduct_on_leg, extend_coproduct, tau_closed_form,
                       tau_argument_elements, c13_zero_symbolic,
                       pbw_element, generator, unit_element,
                       random_element)
@@ -24,8 +23,7 @@ from .representations import (ExactMatrix, ResidueMatrix, SpinModule, TensorCont
                               InternalMismatchError, spin_module,
                               tensor_context, represent, r_matrix,
                               r_matrix_inverse, r_tilde, r_tilde_inverse,
-                              r_series_term, permutation_operator,
-                              embed_two_leg, intermediate_casimirs,
+                              r_series_term, intermediate_casimirs,
                               casimir_scalar_highest_weight,
                               coproduct_split_r)
 from .checks import (CheckResult, SuiteReport, RunConfig, ConfigurationError,

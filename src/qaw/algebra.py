@@ -300,23 +300,6 @@ def casimir() -> TensorElement:
     })
 
 
-def commutator_F_En(n: int) -> TensorElement:
-    """Closed form of [F, E^n], written directly in PBW order.
-
-    [F, E^n] = [n]_q/(q - q^-1) (q^(n-1) K^-2 - q^(1-n) K^2) E^(n-1); commuting
-    the K powers through E^(n-1) by hand gives the stored coefficients.  This
-    is built without the rewrite engine so it can serve as its oracle.
-    """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    q = SYMBOLIC.q
-    base = SYMBOLIC.q_int(n) / (q(1) - q(-1))
-    return TensorElement(1, {
-        (PBWMonomial(0, n - 1, -2),): base * q(-(n - 1)),
-        (PBWMonomial(0, n - 1, 2),): -base * q(n - 1),
-    })
-
-
 # ---------------------------------------------------------------------------
 # coproducts
 # ---------------------------------------------------------------------------
@@ -406,18 +389,6 @@ def q_bracket(xy, yx, kx, ky):
     matrices): the q-commutator [x, y]_q for (kx, ky) = (q, 1/q), the
     reversed convention for (1/q, q)."""
     return xy.scale(kx) - yx.scale(ky)
-
-
-def q_commutator(x: TensorElement, y: TensorElement) -> TensorElement:
-    """[x, y]_q = q x y - q^-1 y x.
-
-    The normalization is fixed by calibration against the representation
-    suite: exactly one of the two sign conventions satisfies the defining
-    cubic relation of the Askey-Wilson algebra, and this is it (the test
-    suite keeps the rejected alternative as a negative check).
-    """
-    x._check_compatible(y)
-    return q_bracket(x * y, y * x, SYMBOLIC.q(1), SYMBOLIC.q(-1))
 
 
 def tau_argument_elements() -> dict[str, TensorElement]:

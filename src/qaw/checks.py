@@ -14,16 +14,30 @@ in residues mod the prime P = 2**61 - 1 (``ResidueDomain``): plain ints,
 which only the residue matrix kernel (``ResidueMatrix``) combines.  A
 residual F/G whose numerator F is not 0 mod P reads 0 mod P at no more than
 deg F of the 5704 distinct sample points, which have distinct residues: the
-deg F / |S| bound of sampling over Q.  A residue that is nonzero mod P proves the
-rational value nonzero, so a failure is never a false alarm.  A check group
-that fails at a point is run again there over Q (``PointDomain``), which
-supplies the exact witness and residual_terms; a denominator that is 0
-mod P runs the whole point over Q.  The PBW elements are fixed before any
-representation or point is chosen, so a run builds them, and the residuals
-of the checks that compare PBW elements, once over Q(s) (``ElementStore``)
-and maps them into every point: evaluation at s0 and reduction mod P are
-ring homomorphisms away from poles, so the image of an element is what
-computing it at the point gives.  The matrices are rebuilt at every point.
+deg F / |S| bound of sampling over Q.  A residue that is nonzero mod P
+proves the rational value nonzero, so a failure is never a false alarm.
+The check groups that failed at some point are run once more, in exact
+mode on the run's PBW elements, and each failed check takes its
+residual_terms and witness from there, so the witness does not depend on
+the point; a check that failed mod P but holds exactly is an internal
+error.  The PBW elements are fixed before any representation or point is
+chosen, so a run builds them, and the residuals of the checks that compare
+PBW elements, once over Q(s) (``ElementStore``) and maps them into every
+point: reduction mod P at s0 is a ring homomorphism away from poles, so the
+image of an element is what computing it at the point gives.  The matrices
+are rebuilt at every point.
+
+A point where a denominator is 0 mod P (a pole, ``PoleError``) is dropped
+and another drawn.  Every denominator mapped into a point is a product of
+cyclotomic polynomials Phi_d(s): d in (1, 2, 4, 8) from q - 1/q and
+q + 1/q, and d | 4n from the q-integers [n]_q in the R-series
+coefficients a_n.  Phi_d(s0) = 0 mod P only if s0 has multiplicative order
+d mod P.  The only sample points of order at most 240 are s0 = 2**k and
+2**-k, k = 1..5, of order 61 (2**61 = 1 mod P), and 61 | 4n needs n >= 61.
+The series reaches a_n only for n <= min(two_j_a, two_j_b) on a leg pair,
+and for the split R n <= min(two_j_1, two_j_2 + two_j_3) or
+min(two_j_1 + two_j_2, two_j_3); unless one of these bounds reaches 61,
+no drawn point meets a pole.
 
 Checks whose residual is a polynomial in centralizer elements run on the
 lowest weight space W_low only: the weight space whose total 2m is
@@ -64,8 +78,9 @@ the witness of a failing restricted check count and name W_low entries
 (full-space indices).
 
 Every check is built by ``_check``, and its runtime_ms covers exactly its
-premise gate, its compute and its witness text.  Everything else a check
-group does, such as building the operands its checks share, is setup_ms.
+premise gate, its compute and its witness text (in eval mode, summed over
+the points and the exact run).  setup_ms is everything else in the run's
+wall time, such as building the operands that checks share.
 """
 
 from __future__ import annotations
@@ -80,8 +95,8 @@ from . import algebra as alg
 from . import representations as reps
 from .algebra import TensorElement
 from .representations import ExactMatrix, TensorContext, tensor_context
-from .scalars import (SAMPLE_POINT_COUNT, SYMBOLIC, PointDomain, PoleError,
-                      ResidueDomain, ScalarDomain, random_admissible_point)
+from .scalars import (SAMPLE_POINT_COUNT, SYMBOLIC, PoleError, ResidueDomain,
+                      ScalarDomain, random_admissible_point)
 
 TOOL_VERSION = "0.1.0"
 
@@ -107,6 +122,10 @@ class RunConfig:
     output_path: str | None = None
     verbose: bool = False
     negative_control: bool = False
+
+    def __post_init__(self):
+        # A report's config holds spins as a list; a run needs them hashable.
+        object.__setattr__(self, "spins", tuple(self.spins))
 
     def as_dict(self) -> dict:
         return {
@@ -144,8 +163,8 @@ class CheckResult:
 
 @dataclass
 class SuiteReport:
-    """A run's verdicts.  setup_ms: time the check groups spent outside their
-    checks, on shared operands (summed over eval points); wall_ms: the run."""
+    """A run's verdicts.  wall_ms: the run; setup_ms: the part of it outside
+    the checks' runtimes, such as shared operands and sampling."""
 
     suite: str
     version: str
@@ -638,7 +657,7 @@ def check_tau(ctx2: TensorContext, ctx3: TensorContext,
         x_on_1 = reps.represent(x, tensor_context((ctx3.spins[0],), domain))
         x1 = reps.embed_legs(x_on_1, (1,), ctx3)
         tau_check = r13p * reps.embed_legs(x_on_1, (1,), pair13) * r13pi
-        emb = reps.embed_two_leg(tau_check, (1, 3), ctx3)
+        emb = reps.embed_legs(tau_check, (1, 3), ctx3)
         return [emb * y - y * x1]
 
     def c13_via_coaction():
@@ -794,85 +813,59 @@ def _suite_tasks(name: str, config: RunConfig, domain: ScalarDomain,
 
 
 def _run_groups(name: str, config: RunConfig, domain: ScalarDomain, elements: ElementStore,
-                only: set[int] | None = None, setup: list[float] | None = None
-                ) -> list[list[CheckResult] | None]:
-    """The results of each check group on domain; None for a group outside only.
-
-    The time each group spends outside its checks' runtimes is added to
-    setup[0] (ms), if setup is given.
-    """
-    groups = []
-    for i, task in enumerate(_suite_tasks(name, config, domain, elements)):
-        t0 = time.perf_counter_ns()
-        groups.append(task() if only is None or i in only else None)
-        if setup is not None and groups[-1]:
-            setup[0] += _elapsed_ms(t0) - sum(r.runtime_ms for r in groups[-1])
-    return groups
+                only: set[int] | None = None) -> list[list[CheckResult] | None]:
+    """The results of each check group on domain; None for a group outside only."""
+    return [task() if only is None or i in only else None
+            for i, task in enumerate(_suite_tasks(name, config, domain, elements))]
 
 
 def _flat_sorted(groups) -> list[CheckResult]:
-    results = [r for group in groups for r in group]
+    results = [r for group in groups if group for r in group]
     results.sort(key=lambda r: r.name)
     return results
 
 
-def _run_once(name: str, config: RunConfig, domain: ScalarDomain,
-              setup: list[float] | None = None,
-              elements: ElementStore | None = None) -> list[CheckResult]:
-    elements = elements or ElementStore()
-    return _flat_sorted(_run_groups(name, config, domain, elements, setup=setup))
-
-
-def _run_at(domain: ScalarDomain, name: str, config: RunConfig, elements: ElementStore,
-            only: set[int] | None = None, setup: list[float] | None = None
-            ) -> list[list[CheckResult] | None]:
-    """_run_groups on a point domain, whose tables are dropped when it is done."""
+def _run_point(name: str, config: RunConfig, s0,
+               elements: ElementStore) -> list[list[CheckResult]] | None:
+    """The check groups at the sample point s0, computed mod RESIDUE_PRIME;
+    None if a denominator vanishes there.  The point's tables are dropped
+    when it is done."""
+    domain = ResidueDomain(s0)
     try:
-        return _run_groups(name, config, domain, elements, only, setup)
+        return _run_groups(name, config, domain, elements)
+    except PoleError:
+        return None
     finally:
         domain.clear_memo()
 
 
-def _run_point(name: str, config: RunConfig, s0, setup: list[float] | None = None,
-               elements: ElementStore | None = None) -> list[CheckResult]:
-    """The checks at the sample point s0, computed mod RESIDUE_PRIME.
-
-    A group with a failed check is run again at s0 over Q, and its results
-    replace the residue results (their runtimes add up), so every witness
-    is an exact rational one.  A denominator that is 0 mod P runs the whole
-    point over Q.  Every pass maps the run's elements.
-    """
-    elements = elements or ElementStore()
-    try:
-        groups = _run_at(ResidueDomain(s0), name, config, elements, setup=setup)
-    except PoleError:
-        return _flat_sorted(_run_at(PointDomain(s0), name, config, elements, setup=setup))
-    failed = {i for i, group in enumerate(groups) if not all(r.passed for r in group)}
-    if failed:
-        rerun = _run_at(PointDomain(s0), name, config, elements, failed, setup)
-        for i in failed:
-            spent = {r.name: r.runtime_ms for r in groups[i]}
-            for r in rerun[i]:
-                r.runtime_ms += spent[r.name]
-            groups[i] = rerun[i]
-    return _flat_sorted(groups)
-
-
-def _eval_points(name: str, config: RunConfig, setup: list[float],
-                 elements: ElementStore):
+def _eval_points(name: str, config: RunConfig, elements: ElementStore, failed: set[int]):
     """Yield (point, results) at each of the config's distinct seeded sample
-    points; validate_config keeps their number within SAMPLE_POINT_COUNT."""
+    points, and add to failed the index of each group with a failed check.
+
+    A point with a pole mod P is dropped and another drawn (module
+    docstring); drawing stops when all SAMPLE_POINT_COUNT points are used.
+    """
     rng = random.Random(config.rng_seed)
-    used = set()
-    while len(used) < config.eval_points:
+    used, points = set(), 0
+    while points < config.eval_points and len(used) < SAMPLE_POINT_COUNT:
         s0 = random_admissible_point(rng)
-        if s0 not in used:
-            used.add(s0)
-            yield f"s={s0}", _run_point(name, config, s0, setup, elements)
+        if s0 in used:
+            continue
+        used.add(s0)
+        groups = _run_point(name, config, s0, elements)
+        if groups is not None:
+            points += 1
+            failed.update(i for i, group in enumerate(groups)
+                          if not all(r.passed for r in group))
+            yield f"s={s0}", _flat_sorted(groups)
+    if not points:
+        raise PoleError("every sample point meets a pole mod 2^61-1")
 
 
 def _merge_eval(runs, config: RunConfig) -> list[CheckResult]:
-    """One result per check from the (point, results) pairs of runs.
+    """One result per check from the (point, results) pairs of runs: passed
+    if it passed at every point, with the points that it failed at counted.
 
     Each point is folded into running per-check aggregates as it arrives
     and then dropped, so runs may be a generator and memory stays flat in
@@ -894,14 +887,32 @@ def _merge_eval(runs, config: RunConfig) -> list[CheckResult]:
         for name, r in checks.items():
             m = merged[name]
             m.params["points"] += 1
-            m.residual_terms = max(m.residual_terms, r.residual_terms)
             m.runtime_ms += r.runtime_ms
             if not r.passed:
-                if m.passed:
-                    m.passed, m.witness = False, f"at {point}: {r.witness}"
+                m.passed = False
                 m.params["failed_points"] += 1
         del results, checks
     return list(merged.values())
+
+
+def _exact_witnesses(merged: list[CheckResult], exact: list[CheckResult]):
+    """Give each failed check of merged the residual_terms and witness of its
+    exact result, and add to each check the runtime of its exact result.
+
+    A check that failed mod P but holds exactly raises
+    InternalMismatchError: a nonzero residue proves a nonzero value.
+    """
+    by_name = {r.name: r for r in exact}
+    for m in merged:
+        r = by_name.get(m.name)
+        if r is None:
+            continue
+        m.runtime_ms += r.runtime_ms
+        if not m.passed:
+            if r.passed:
+                raise reps.InternalMismatchError(
+                    f"{m.name} failed mod 2^61-1 but holds exactly")
+            m.residual_terms, m.witness = r.residual_terms, r.witness
 
 
 def _consistency_extras(results: list[CheckResult]) -> list[CheckResult]:
@@ -929,14 +940,19 @@ def run_suite(name: str, config: RunConfig) -> SuiteReport:
     """Execute a suite in the configured mode and aggregate a SuiteReport."""
     validate_config(name, config)
     started = time.perf_counter_ns()
-    setup = [0.0]
     elements = ElementStore()
     if config.mode == "exact":
-        results = _run_once(name, config, SYMBOLIC, setup, elements)
+        results = _flat_sorted(_run_groups(name, config, SYMBOLIC, elements))
     else:
-        results = _merge_eval(_eval_points(name, config, setup, elements), config)
+        failed = set()
+        results = _merge_eval(_eval_points(name, config, elements, failed), config)
+        if failed:
+            _exact_witnesses(results, _flat_sorted(
+                _run_groups(name, config, SYMBOLIC, elements, only=failed)))
     results.extend(_consistency_extras(results))
     results.sort(key=lambda r: r.name)
+    wall = _elapsed_ms(started)
+    setup = wall - sum(r.runtime_ms for r in results)
     for r in results:
         r.runtime_ms = round(r.runtime_ms)
     return SuiteReport(
@@ -945,6 +961,6 @@ def run_suite(name: str, config: RunConfig) -> SuiteReport:
         config=config.as_dict(),
         checks=results,
         passed=all(r.passed for r in results),
-        setup_ms=round(setup[0]),
-        wall_ms=round(_elapsed_ms(started)),
+        setup_ms=round(setup),
+        wall_ms=round(wall),
     )

@@ -591,11 +591,6 @@ def embed_legs(m: ExactMatrix, legs: tuple[int, ...], ctx: TensorContext) -> Exa
     return m._raw(ctx.total_dim, out)
 
 
-def embed_two_leg(m: ExactMatrix, legs: tuple[int, int], ctx: TensorContext) -> ExactMatrix:
-    """Embed a matrix on (V_a, V_b) into the context, identity on other legs."""
-    return embed_legs(m, _check_leg_pair(legs, ctx), ctx)
-
-
 def r_matrix(legs: tuple[int, int], ctx: TensorContext,
              extra_terms: int = 0) -> ExactMatrix:
     """The R-matrix acting on legs a < b of the context, identity elsewhere."""
@@ -628,21 +623,6 @@ def r_series_term(legs: tuple[int, int], ctx: TensorContext, n: int) -> ExactMat
     term = _series(*_r_nilpotent(mod_a, mod_b),
                    lambda i: d.series_coeff(n) if i == n else d.zero, n, d.one)
     return embed_legs(_weight_diagonal(mod_a, mod_b) * term, legs, ctx)
-
-
-def permutation_operator(legs: tuple[int, int], ctx: TensorContext) -> ExactMatrix:
-    """The operator swapping two legs of equal spin."""
-    a, b = _check_leg_pair(legs, ctx)
-    ia, ib = a - 1, b - 1
-    if ctx.dims[ia] != ctx.dims[ib]:
-        raise ArityMismatchError("permutation_operator needs legs of equal dimension")
-    one = ctx.domain.one
-    out = {}
-    for multi in ctx.multi_indices():
-        swapped = list(multi)
-        swapped[ia], swapped[ib] = swapped[ib], swapped[ia]
-        out[(ctx.flat_index(swapped), ctx.flat_index(multi))] = one
-    return ctx.matrix(ctx.total_dim, out)
 
 
 # ---------------------------------------------------------------------------

@@ -22,19 +22,19 @@ is the exact scalar of the symbolic domain; any other denominator, an
 integer > 1 included, raises NonCyclotomicError.
 
 A :class:`ScalarDomain` selects what the matrix layer runs over: the
-symbolic field (CycloFrac values), exact rational evaluation at a fixed
-admissible point s0 (Fractions), or the same point reduced modulo the prime
-P = 2**61 - 1 (plain ints in [0, P)), the last two for randomized
-Schwartz-Zippel style identity testing.  A domain is one ring map from Q(s)
-into its own scalars, ``ScalarDomain.image`` of a CycloFrac; every scalar the
-matrix layer takes from it (s**k, integers, q-integers, series coefficients,
-1/(q - q^-1)) is the image of the matching CycloFrac.  PBW elements are
-computed over Q(s) only, and a domain maps each of their coefficients where
-it meets a matrix, so the representation code, and with it an entire
-verification suite, runs in any of them.  The matrix layer combines scalars
-only in its matrix kernels, one per ``ScalarDomain.modulus``: field values
-with their own +, -, * for a domain without one, and ints reduced mod P for
-the residue domain.
+symbolic field (CycloFrac values), or the value at an admissible point s0
+reduced modulo the prime P = 2**61 - 1 (plain ints in [0, P)), the latter
+for randomized Schwartz-Zippel style identity testing.  A domain is one
+ring map from Q(s) into its own scalars, ``ScalarDomain.image`` of a
+CycloFrac; every scalar the matrix layer takes from it (s**k, integers,
+q-integers, series coefficients, 1/(q - q^-1)) is the image of the matching
+CycloFrac.  PBW elements are computed over Q(s) only, and a domain maps
+each of their coefficients where it meets a matrix, so the representation
+code, and with it an entire verification suite, runs in either.  The matrix
+layer combines scalars only in its matrix kernels, one per
+``ScalarDomain.modulus``: field values with their own +, -, * for a domain
+without one (CycloFrac values in the symbolic domain), and ints reduced
+mod P for the residue domain.
 """
 
 from __future__ import annotations
@@ -170,9 +170,6 @@ class LaurentPoly:
     def max_exp(self) -> int:
         return self._lo + self._st * (len(self._c) - 1)
 
-    def leading_coefficient(self) -> int:
-        return self._c[-1] if self._c else 0
-
     def term_count(self) -> int:
         return len(self._c) - self._c.count(0)
 
@@ -271,13 +268,6 @@ class LaurentPoly:
         if k == 0 or not self._c:
             return self
         return LaurentPoly._raw(self._lo + k, self._st, self._c)
-
-    def evaluate(self, s0: Fraction) -> Fraction:
-        # Horner's rule in s0**st.
-        x, total = s0 ** self._st, Fraction(0)
-        for c in reversed(self._c):
-            total = total * x + c
-        return total * s0 ** self._lo
 
     # -- serialization
 
@@ -578,12 +568,6 @@ class CycloFrac:
     def term_count(self) -> int:
         return self.num.term_count() + self.denominator().term_count()
 
-    def evaluate(self, s0: Fraction) -> Fraction:
-        d = self.denominator().evaluate(s0)
-        if d == 0:
-            raise PoleError(f"denominator vanishes at s = {s0}")
-        return self.num.evaluate(s0) / d
-
     def text(self) -> str:
         """Canonical text ``"(num)/(den)"``."""
         return f"({self.num.text()})/({self.denominator().text()})"
@@ -769,7 +753,7 @@ def _q_diff_inverse() -> CycloFrac:
 
 
 # ---------------------------------------------------------------------------
-# exact evaluation
+# sample points
 # ---------------------------------------------------------------------------
 
 def check_admissible_point(s0: Fraction) -> Fraction:
@@ -800,9 +784,9 @@ def random_admissible_point(rng: random.Random) -> Fraction:
 class ScalarDomain:
     """The scalars a computation runs over, given by one ring map from Q(s).
 
-    ``SYMBOLIC`` computes with exact CycloFrac values; ``PointDomain(s0)``
-    with the Fractions obtained by substituting s = s0; ``ResidueDomain(s0)``
-    with those Fractions reduced mod P = 2**61 - 1, as plain ints in [0, P).
+    ``SYMBOLIC`` computes with exact CycloFrac values; ``ResidueDomain(s0)``
+    with the values at s = s0 reduced mod P = 2**61 - 1, as plain ints in
+    [0, P).
     Values from any domain compare with == and are falsy exactly when zero.
     ``modulus`` says how the matrix kernel combines them: None for field
     values, by their own +, -, *; the prime P for ints, which the kernel
@@ -816,7 +800,7 @@ class ScalarDomain:
     q**k, integers, q-integers, R-series coefficients, 1/(q - q^-1)) is the
     image of the matching CycloFrac.  A domain also owns the data derived
     over it, memoised by :func:`domain_memo`: ``SYMBOLIC`` keeps it for the
-    process, and eval mode clears a point domain's memo when its point is
+    process, and eval mode clears a residue domain's memo when its point is
     done.
     """
 
@@ -889,36 +873,6 @@ class SymbolicDomain(ScalarDomain):
         return "SymbolicDomain()"
 
 
-class AdmissiblePointDomain(ScalarDomain):
-    """A domain that evaluates at one admissible point s = s0; two are equal
-    when they are of one type at one point."""
-
-    mode = "eval"
-
-    def __init__(self, s0: Fraction):
-        super().__init__()
-        self.s0 = check_admissible_point(s0)
-
-    def describe(self) -> str:
-        return f"s={self.s0}"
-
-    def __eq__(self, other) -> bool:
-        return type(other) is type(self) and self.s0 == other.s0
-
-    def __hash__(self) -> int:
-        return hash((type(self), self.s0))
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({self.s0!r})"
-
-
-class PointDomain(AdmissiblePointDomain):
-    """Exact rational arithmetic at a fixed admissible point s = s0."""
-
-    def image(self, c: CycloFrac):
-        return c.evaluate(self.s0)
-
-
 # ---------------------------------------------------------------------------
 # residues modulo the Mersenne prime 2**61 - 1
 # ---------------------------------------------------------------------------
@@ -926,21 +880,23 @@ class PointDomain(AdmissiblePointDomain):
 RESIDUE_PRIME = (1 << 61) - 1
 
 
-class ResidueDomain(AdmissiblePointDomain):
+class ResidueDomain(ScalarDomain):
     """Arithmetic in Z/P at an admissible point s0 = p/r, mapped to p * r^-1 mod P.
 
     Every value is an int in [0, P): the rational value at s0 reduced mod P,
     the reduction being a ring homomorphism on the rationals whose
     denominator P does not divide; a denominator that is 0 mod P raises
-    PoleError.  A residue that
-    is nonzero mod P proves the rational value nonzero; a zero residue can
-    be a false zero, as for any sample point.
+    PoleError.  A residue that is nonzero mod P proves the rational value
+    nonzero; a zero residue can be a false zero, as for any sample point.
+    Two residue domains are equal when they are at one point.
     """
 
+    mode = "eval"
     modulus = RESIDUE_PRIME
 
     def __init__(self, s0: Fraction):
-        super().__init__(s0)
+        super().__init__()
+        self.s0 = check_admissible_point(s0)
         p, r = self.s0.numerator % RESIDUE_PRIME, self.s0.denominator % RESIDUE_PRIME
         if not p or not r:
             raise PoleError(f"s = {self.s0} has no invertible image mod 2^61-1")
@@ -962,6 +918,18 @@ class ResidueDomain(AdmissiblePointDomain):
         if not d:
             raise PoleError(f"a denominator vanishes mod 2^61-1 at s = {self.s0}")
         return v * pow(d, -1, RESIDUE_PRIME) % RESIDUE_PRIME
+
+    def describe(self) -> str:
+        return f"s={self.s0}"
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, ResidueDomain) and self.s0 == other.s0
+
+    def __hash__(self) -> int:
+        return hash((ResidueDomain, self.s0))
+
+    def __repr__(self) -> str:
+        return f"ResidueDomain({self.s0!r})"
 
 
 SYMBOLIC = SymbolicDomain()

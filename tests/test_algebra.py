@@ -5,10 +5,10 @@ import pytest
 
 from qaw.algebra import (ArityMismatchError, InvalidPatternError, MONO_ONE,
                          PBWMonomial, TensorElement, UnsupportedElementError,
-                         c13_zero_symbolic, casimir, commutator_F_En,
+                         c13_zero_symbolic, casimir,
                          coproduct, coproduct_on_leg, coproduct_op,
                          extend_coproduct, generator, normal_order_mul,
-                         pbw_element, q_commutator, random_element,
+                         pbw_element, random_element,
                          tau_argument_elements, tau_closed_form, unit_element)
 from qaw.scalars import SYMBOLIC, CycloFrac, LaurentPoly
 
@@ -63,6 +63,26 @@ class TestNormalOrdering:
         with pytest.raises(ArityMismatchError):
             normal_order_mul(unit_element(2), unit_element(3))
 
+
+
+def commutator_F_En(n: int) -> TensorElement:
+    """Closed form of [F, E^n], written directly in PBW order.
+
+    [F, E^n] = [n]_q/(q - q^-1) (q^(n-1) K^-2 - q^(1-n) K^2) E^(n-1); commuting
+    the K powers through E^(n-1) by hand gives the stored coefficients.  This
+    is built without the rewrite engine so it can serve as its oracle.
+    """
+    q = D.q
+    base = D.q_int(n) / (q(1) - q(-1))
+    return TensorElement(1, {
+        (PBWMonomial(0, n - 1, -2),): base * q(-(n - 1)),
+        (PBWMonomial(0, n - 1, 2),): -base * q(n - 1),
+    })
+
+
+def q_commutator(x: TensorElement, y: TensorElement) -> TensorElement:
+    """[x, y]_q = q x y - q^-1 y x, the bracket of the AW(3) relations."""
+    return (x * y).scale(D.q(1)) - (y * x).scale(D.q(-1))
 
 
 class TestCommutatorClosedForm:

@@ -15,17 +15,18 @@ import qaw
 from qaw import representations as reps
 from qaw import algebra as alg
 from qaw import checks
-from qaw.checks import (LEG_OPERANDS, CheckResult, ConfigurationError, RunConfig,
-                        RunStore, SUITE_NAMES, UnknownSuiteError, _merge_eval,
-                        _run_once, _run_point,
+from qaw.checks import (LEG_OPERANDS, CheckResult, ConfigurationError, ElementStore,
+                        RunConfig, RunStore, SUITE_NAMES, UnknownSuiteError,
+                        _flat_sorted, _merge_eval, _run_groups, _run_point,
                         block_slice, check_aw3, check_aw3_symbolic, check_aw4,
                         check_rmatrix_axioms, check_structure, check_tau,
                         check_theorem_c13, lowest_weight_indices,
                         negative_control_check, run_suite)
 from qaw.representations import (ExactMatrix, InternalMismatchError, spin_module,
                                  tensor_context)
-from qaw.scalars import (RESIDUE_PRIME, SYMBOLIC, PointDomain, PoleError,
-                         ResidueDomain)
+from qaw.scalars import RESIDUE_PRIME, SAMPLE_POINT_COUNT, SYMBOLIC, PoleError, ResidueDomain
+
+from fraction_domain import FractionDomain
 
 
 def all_pass(results):
@@ -143,6 +144,18 @@ class TestRunSuite:
                                   "witness", "runtime_ms"}
         json.dumps(data)  # must be JSON-serializable
 
+    @pytest.mark.parametrize("suite, config", [
+        ("all", RunConfig(spins=(2, 1, 2), negative_control=True)),
+        ("all", RunConfig(spins=(1, 1, 1), mode="eval", eval_points=3, rng_seed=5,
+                          negative_control=True)),
+        ("tau", RunConfig(suite="tau", spins=(1, 2)))])
+    def test_a_report_config_reruns(self, suite, config):
+        # A report's config holds the spins as a JSON list.
+        report = run_suite(suite, config)
+        assert report.config["spins"] == list(config.spins)
+        again = run_suite(report.suite, RunConfig(**report.config))
+        assert _timing_free(again) == _timing_free(report)
+
     def test_negative_control_fails_suite(self):
         report = run_suite("structure",
                            RunConfig(suite="structure", spins=(1, 1, 1),
@@ -187,12 +200,12 @@ class TestEvalMode:
             "import gc\n"
             "from qaw.checks import RunConfig, run_suite\n"
             "from qaw.representations import SpinModule\n"
-            "from qaw.scalars import PointDomain, ResidueDomain\n"
+            "from qaw.scalars import ResidueDomain\n"
             f"{before}\n"
             "cfg = RunConfig(spins=(1, 1, 1), mode='eval', eval_points=2)\n"
             "assert run_suite('all', cfg).passed\n"
             f"{after}\n"
-            "print(sum(isinstance(o, (PointDomain, ResidueDomain, SpinModule))\n"
+            "print(sum(isinstance(o, (ResidueDomain, SpinModule))\n"
             "          for o in gc.get_objects()))\n")
         src = str(Path(qaw.__file__).resolve().parents[1])
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -235,8 +248,17 @@ class TestEvalMode:
         assert all(type(c.runtime_ms) is int for c in run_suite("aw3-symbolic", cfg).checks)
 
 
-def _without_runtime(results):
-    return [(r.name, r.params, r.passed, r.residual_terms, r.witness) for r in results]
+def _verdicts(results):
+    return [(r.name, r.params, r.passed, r.residual_terms) for r in results]
+
+
+def _timing_free(report):
+    data = report.as_dict()
+    for key in ("setup_ms", "wall_ms"):
+        data.pop(key)
+    for check in data["checks"]:
+        check.pop("runtime_ms")
+    return data
 
 
 # An integer of multiplicative order 3 mod P: q = s0**2 has order 3, so [3]_q = 0 mod P.
@@ -246,40 +268,78 @@ ORDER_THREE = 1669582390241348315
 class TestResiduePoints:
     @pytest.mark.parametrize("spins", [(1, 1, 1), (2, 1, 2)])
     @pytest.mark.parametrize("negative_control", [False, True])
-    def test_residue_path_reproduces_the_rational_results(self, spins, negative_control):
+    def test_residue_path_reproduces_the_rational_verdicts(self, spins, negative_control):
+        # The same checks, parameters, verdicts and residual counts as over Q
+        # at the point; the witnesses differ, residues against fractions.
         cfg = RunConfig(spins=spins, mode="eval", negative_control=negative_control)
         for s0 in (Fraction(51, 55), Fraction(43, 21)):
-            assert _without_runtime(_run_point("all", cfg, s0)) == \
-                _without_runtime(_run_once("all", cfg, PointDomain(s0)))
+            residue = _flat_sorted(_run_point("all", cfg, s0, ElementStore()))
+            rational = _flat_sorted(_run_groups("all", cfg, FractionDomain(s0), ElementStore()))
+            assert _verdicts(residue) == _verdicts(rational)
+            assert any(not r.passed for r in residue) == negative_control
 
-    def test_failing_group_is_rerun_over_the_rationals(self):
-        cfg = RunConfig(spins=(1, 1, 1), mode="eval", negative_control=True)
-        bad = [r for r in _run_point("all", cfg, Fraction(51, 55))
-               if r.name.startswith("negative_control")]
-        assert bad[0].witness == "0 0 :: 21624/166375"
+    @pytest.mark.parametrize("spins", [(1, 1, 1), (2, 1, 2)])
+    def test_failed_checks_take_the_exact_witness(self, spins):
+        exact = run_suite("all", RunConfig(spins=spins, negative_control=True))
+        ev = run_suite("all", RunConfig(spins=spins, mode="eval", eval_points=5,
+                                        negative_control=True))
+        exact_checks = {c.name: c for c in exact.checks}
+        failed = [c for c in ev.checks if not c.passed]
+        assert [c.name for c in failed] == ["negative_control.corrupted_generator"]
+        for c in failed:
+            assert c.params["failed_points"] == c.params["points"] == 5
+            assert (c.residual_terms, c.witness) == (
+                exact_checks[c.name].residual_terms, exact_checks[c.name].witness)
+        assert failed[0].witness == "0 0 :: (1*s^1 + -1*s^3)/(1*s^0)"
 
-    def test_root_of_unity_mod_p_needs_no_fallback(self):
+    def test_failure_mod_p_that_holds_exactly_is_an_internal_error(self, monkeypatch):
+        # The negative control, corrupted only in residues: a nonzero residue
+        # proves a nonzero value, so the exact run must fail it too.
+        real = checks.negative_control_check
+
+        def residue_only(domain):
+            result = real(domain)
+            if domain.modulus is None:
+                result.passed, result.residual_terms, result.witness = True, 0, ""
+            return result
+        monkeypatch.setattr(checks, "negative_control_check", residue_only)
+        with pytest.raises(InternalMismatchError, match="holds exactly"):
+            run_suite("aw3-symbolic", RunConfig(suite="aw3-symbolic", mode="eval",
+                                                eval_points=2, negative_control=True))
+
+    def test_root_of_unity_mod_p_is_no_pole(self):
         # [3]_q = 0 mod P, but E^3 is then 0 mod P on every module, so the
         # R-matrix series stops before it needs the coefficient a_3.
         cfg = RunConfig(suite="rmatrix", spins=(3, 3, 1), mode="eval")
         s0 = Fraction(ORDER_THREE)
-        residue = _run_once("rmatrix", cfg, ResidueDomain(s0))
-        assert all(r.passed for r in residue)
-        assert _without_runtime(_run_point("rmatrix", cfg, s0)) == \
-            _without_runtime(_run_once("rmatrix", cfg, PointDomain(s0)))
+        residue = _flat_sorted(_run_point("rmatrix", cfg, s0, ElementStore()))
+        assert residue and all(r.passed for r in residue)
+        assert _verdicts(residue) == _verdicts(
+            _flat_sorted(_run_groups("rmatrix", cfg, FractionDomain(s0), ElementStore())))
 
     @pytest.mark.parametrize("suite, spins", [("rmatrix", (3, 3, 1)), ("all", (1, 1, 1))])
-    def test_pole_mod_p_runs_the_point_over_the_rationals(self, suite, spins):
-        # In suite all, the pole is met where a PBW coefficient with
-        # q - 1/q in its denominator is mapped into the residue domain.
-        cfg = RunConfig(suite=suite, spins=spins, mode="eval")
-        s0 = Fraction(RESIDUE_PRIME + 1)  # s = 1 mod P, so q - 1/q = 0 mod P
-        with pytest.raises(PoleError):
-            _run_once(suite, cfg, ResidueDomain(s0))
-        results = _run_point(suite, cfg, s0)
-        assert _without_runtime(results) == \
-            _without_runtime(_run_once(suite, cfg, PointDomain(s0)))
-        assert all(r.passed for r in results)
+    def test_pole_mod_p_drops_the_point(self, monkeypatch, suite, spins):
+        # s0 = P + 1 is s = 1 mod P, so q - 1/q = 0 mod P.  In suite all the
+        # pole is also met where a PBW coefficient with q - 1/q in its
+        # denominator is mapped into the residue domain.
+        cfg = RunConfig(suite=suite, spins=spins, mode="eval", eval_points=3)
+        at_pole = Fraction(RESIDUE_PRIME + 1)
+        assert _run_point(suite, cfg, at_pole, ElementStore()) is None
+        expected = _timing_free(run_suite(suite, cfg))
+        draws = iter([at_pole])
+        real = checks.random_admissible_point
+        monkeypatch.setattr(checks, "random_admissible_point",
+                            lambda rng: next(draws, None) or real(rng))
+        report = run_suite(suite, cfg)
+        assert report.passed
+        assert all(c.params["points"] == 3 for c in report.checks if "points" in c.params)
+        assert _timing_free(report) == expected
+
+    def test_sampling_stops_when_the_points_run_out(self, monkeypatch):
+        # Every point a pole: the draws end with the sample points, not in a loop.
+        monkeypatch.setattr(checks, "_run_point", lambda *args: None)
+        with pytest.raises(PoleError, match="every sample point"):
+            run_suite("aw3", RunConfig(suite="aw3", mode="eval", eval_points=SAMPLE_POINT_COUNT))
 
 
 def _result(name, passed):
@@ -295,7 +355,8 @@ class TestMergeEval:
         merged = {r.name: r for r in _merge_eval(runs, RunConfig(mode="eval"))}
         assert merged["a"].passed and merged["a"].params["failed_points"] == 0
         assert not merged["b"].passed and merged["b"].params["failed_points"] == 1
-        assert merged["b"].witness == "at s=3: bad b"
+        # The witness and residual count come from the exact run, not a point.
+        assert (merged["b"].residual_terms, merged["b"].witness) == (0, "")
 
     @pytest.mark.parametrize("second", [["a"], ["a", "c"], ["a", "b", "c"], ["a", "a"]])
     def test_differing_check_sets_are_an_internal_error(self, second):
@@ -400,7 +461,7 @@ class TestRestrictedChecks:
 
     @pytest.mark.parametrize("group", [check_aw3, check_theorem_c13])
     @pytest.mark.parametrize("store_spins, domain", [
-        ((2, 1, 2), SYMBOLIC), ((1, 1, 1), PointDomain(Fraction(5, 3)))])
+        ((2, 1, 2), SYMBOLIC), ((1, 1, 1), ResidueDomain(Fraction(5, 3)))])
     def test_store_on_another_context_is_rejected(self, group, store_spins, domain):
         store = RunStore(tensor_context(store_spins, domain))
         with pytest.raises(alg.ArityMismatchError, match="cannot check"):
@@ -486,7 +547,7 @@ def _mod_p(x: Fraction) -> int:
 
 
 DOMAINS = pytest.mark.parametrize(
-    "domain", [SYMBOLIC, PointDomain(Fraction(5, 3)), ResidueDomain(Fraction(43, 21))],
+    "domain", [SYMBOLIC, FractionDomain(Fraction(5, 3)), ResidueDomain(Fraction(43, 21))],
     ids=["symbolic", "point", "residue"])
 
 
@@ -570,7 +631,7 @@ class TestLegCertificates:
     def test_sub_matches_an_entrywise_reference(self, domain):
         # The residue domain's reference is the difference in the field at
         # its point, reduced mod P.
-        field = PointDomain(domain.s0) if domain.modulus else domain
+        field = FractionDomain(domain.s0) if domain.modulus else domain
 
         def reference(x, y):
             keys = {rc for rc, _ in x.items()} | {rc for rc, _ in y.items()}
@@ -649,11 +710,28 @@ class TestLegFactorForms:
 
 @pytest.mark.parametrize("mode", ["exact", "eval"])
 def test_setup_and_checks_account_for_the_wall_time(mode):
-    report = run_suite("all", RunConfig(spins=(2, 1, 2), mode=mode, eval_points=3))
+    report = run_suite("all", RunConfig(spins=(2, 1, 2), mode=mode, eval_points=3,
+                                        negative_control=True))
     attributed = report.setup_ms + sum(c.runtime_ms for c in report.checks)
     assert report.setup_ms > 0
-    # Each runtime is rounded to whole ms on its own.
-    assert abs(report.wall_ms - attributed) <= 0.05 * report.wall_ms + len(report.checks) / 2
+    # setup_ms is the rest of the wall time; wall_ms, setup_ms and each
+    # runtime are rounded to whole ms on their own.
+    assert abs(report.wall_ms - attributed) <= (len(report.checks) + 2) / 2
+
+
+def test_time_between_the_points_is_setup(monkeypatch):
+    # Drawing a point runs in no check, so setup_ms holds it.
+    real = checks.random_admissible_point
+
+    def slow(rng):
+        time.sleep(0.01)
+        return real(rng)
+    monkeypatch.setattr(checks, "random_admissible_point", slow)
+    report = run_suite("aw3-symbolic", RunConfig(suite="aw3-symbolic", mode="eval",
+                                                 eval_points=5))
+    attributed = report.setup_ms + sum(c.runtime_ms for c in report.checks)
+    assert report.setup_ms >= 50
+    assert abs(report.wall_ms - attributed) <= (len(report.checks) + 2) / 2
 
 
 def test_exact_mode_reuses_symbolic_tables():

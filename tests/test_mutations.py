@@ -41,12 +41,25 @@ def fresh_symbolic():
 
 
 def _report(monkeypatch, groups, spins, mode):
-    """The checks of suite "all" by name, with only the named check groups run."""
+    """The checks of suite "all" by name, with only the named check groups run.
+
+    In eval mode each failed check must report the residual_terms and the
+    witness of the exact run.  That run gets a fresh SYMBOLIC memo, so a
+    mutant that counts its calls per context sees new contexts.
+    """
     for group, fn in GROUPS.items():
         if group not in groups:
             monkeypatch.setattr(checks, fn, lambda *args: [])
     config = RunConfig(spins=spins, mode=mode, eval_points=3)
-    return {c.name: c for c in run_suite("all", config).checks}
+    report = {c.name: c for c in run_suite("all", config).checks}
+    if mode == "eval":
+        SYMBOLIC.clear_memo()
+        exact = {c.name: c for c in run_suite("all", RunConfig(spins=spins)).checks}
+        for name, c in report.items():
+            if not c.passed:
+                assert (c.residual_terms, c.witness) == (
+                    exact[name].residual_terms, exact[name].witness), name
+    return report
 
 
 def _verdicts(monkeypatch, groups, spins, mode):

@@ -15,27 +15,28 @@ from qaw.checks import block_slice
 from qaw.representations import (ExactMatrix, InternalMismatchError, ResidueMatrix,
                                  matrix_type,
                                  casimir_scalar_highest_weight,
-                                 coproduct_split_r, embed_two_leg,
-                                 intermediate_casimirs,
-                                 permutation_operator, r_matrix,
+                                 coproduct_split_r, embed_legs,
+                                 intermediate_casimirs, r_matrix,
                                  r_matrix_inverse, r_series_term, r_tilde,
                                  r_tilde_inverse, represent, spin_module,
                                  tensor_context)
-from qaw.scalars import (RESIDUE_PRIME, SYMBOLIC, CycloFrac, LaurentPoly, PointDomain,
+from qaw.scalars import (RESIDUE_PRIME, SYMBOLIC, CycloFrac, LaurentPoly,
                          ResidueDomain, add_into, q_integer)
+
+from fraction_domain import FractionDomain, evaluate
 
 GOLDEN = Path(__file__).parent / "golden"
 
 D = SYMBOLIC
 
 # The three scalar domains every leg-factor construction is compared in.
-DOMAINS = pytest.mark.parametrize("domain", [D, PointDomain(Fraction(5, 3)),
+DOMAINS = pytest.mark.parametrize("domain", [D, FractionDomain(Fraction(5, 3)),
                                              ResidueDomain(Fraction(43, 21))],
                                   ids=["symbolic", "point", "residue"])
 
 
 class TestExactMatrix:
-    @pytest.mark.parametrize("domain", [D, PointDomain(Fraction(3, 5))])
+    @pytest.mark.parametrize("domain", [D, FractionDomain(Fraction(3, 5))])
     def test_difference_drops_cancelling_entries(self, domain):
         x, y, z = domain.q(1), domain.s(3), domain.q_int(2)
         a = ExactMatrix(2, {(0, 0): x, (0, 1): y})
@@ -46,7 +47,7 @@ class TestExactMatrix:
         assert (diff + b) == a
         assert (a - ExactMatrix(2, {(0, 1): y, (0, 0): x})).is_zero()
 
-    @pytest.mark.parametrize("domain", [D, PointDomain(Fraction(3, 5))])
+    @pytest.mark.parametrize("domain", [D, FractionDomain(Fraction(3, 5))])
     def test_self_difference_is_zero(self, domain):
         a = spin_module(2, domain).e + spin_module(2, domain).k
         assert (a - a).is_zero()
@@ -61,6 +62,19 @@ def _term_by_term(zero, pieces):
     return {key: v for key, v in total.items() if v}
 
 
+def _permutation(legs: tuple[int, int], ctx) -> ExactMatrix:
+    """The operator swapping two legs of equal spin."""
+    ia, ib = legs[0] - 1, legs[1] - 1
+    if ctx.dims[ia] != ctx.dims[ib]:
+        raise ArityMismatchError("a swap needs legs of equal dimension")
+    out = {}
+    for multi in ctx.multi_indices():
+        swapped = list(multi)
+        swapped[ia], swapped[ib] = swapped[ib], swapped[ia]
+        out[(ctx.flat_index(swapped), ctx.flat_index(multi))] = ctx.domain.one
+    return ctx.matrix(ctx.total_dim, out)
+
+
 def _mod_p(x: Fraction) -> int:
     return x.numerator * pow(x.denominator, -1, RESIDUE_PRIME) % RESIDUE_PRIME
 
@@ -70,13 +84,13 @@ def _single_terms(x: TensorElement):
 
 
 class TestSparseSums:
-    @pytest.mark.parametrize("domain", [D, PointDomain(Fraction(5, 3)),
+    @pytest.mark.parametrize("domain", [D, FractionDomain(Fraction(5, 3)),
                                         ResidueDomain(Fraction(5, 3))],
                              ids=["symbolic", "point", "residue"])
     def test_sums_match_term_by_term_and_hold_no_zero(self, domain):
         # The residue domain's ints are summed only by its matrix kernel, so
         # its reference is the sum in the field at its point, reduced mod P.
-        field = PointDomain(domain.s0) if domain.modulus else domain
+        field = FractionDomain(domain.s0) if domain.modulus else domain
 
         def check(result, pieces, zero=field.zero, mod_p=False):
             entries = dict(result.terms if isinstance(result, LaurentPoly) else result.items())
@@ -309,7 +323,7 @@ class TestRTilde:
 
     def test_flip_conjugate_of_r(self):
         ctx = tensor_context((1, 1), D)
-        p = permutation_operator((1, 2), ctx)
+        p = _permutation((1, 2), ctx)
         assert r_tilde((1, 2), ctx) == p * r_matrix((1, 2), ctx) * p
 
     def test_two_constructions_agree_unequal_spins(self):
@@ -336,7 +350,7 @@ class TestMatrixInverse:
         assert (rr * inv).is_identity()
         assert (inv * rr).is_identity()
 
-    @pytest.mark.parametrize("domain", [D, PointDomain(Fraction(5, 3))],
+    @pytest.mark.parametrize("domain", [D, FractionDomain(Fraction(5, 3))],
                              ids=["symbolic", "point"])
     @pytest.mark.parametrize("spins", [(1, 2), (2, 3), (4, 4), (6, 5)])
     def test_closed_form_inverses(self, spins, domain):
@@ -352,17 +366,17 @@ class TestMatrixInverse:
 class TestPermutationAndEmbedding:
     def test_swap_trivial(self):
         ctx = tensor_context((0, 0), D)
-        assert permutation_operator((1, 2), ctx) == ctx.identity()
+        assert _permutation((1, 2), ctx) == ctx.identity()
 
     def test_swap_is_involution(self):
         ctx = tensor_context((1, 2, 1), D)
-        p = permutation_operator((1, 3), ctx)
+        p = _permutation((1, 3), ctx)
         assert p * p == ctx.identity()
 
     def test_swap_conjugates_tensor_factors(self):
         rng = random.Random(31)
         ctx = tensor_context((1, 1), D)
-        p = permutation_operator((1, 2), ctx)
+        p = _permutation((1, 2), ctx)
         for _ in range(5):
             x = random_element(1, rng, max_power=1, max_k=1)
             y = random_element(1, rng, max_power=1, max_k=1)
@@ -372,21 +386,21 @@ class TestPermutationAndEmbedding:
     def test_unequal_spins_rejected(self):
         ctx = tensor_context((1, 2), D)
         with pytest.raises(ArityMismatchError):
-            permutation_operator((1, 2), ctx)
+            _permutation((1, 2), ctx)
 
     def test_embedding_is_multiplicative(self):
         ctx = tensor_context((1, 2, 1), D)
         pair = tensor_context((1, 1), D)
         a = r_matrix((1, 2), pair)
         b = r_tilde((1, 2), pair)
-        assert embed_two_leg(a * b, (1, 3), ctx) == \
-            embed_two_leg(a, (1, 3), ctx) * embed_two_leg(b, (1, 3), ctx)
-        assert embed_two_leg(pair.identity(), (1, 3), ctx) == ctx.identity()
+        assert embed_legs(a * b, (1, 3), ctx) == \
+            embed_legs(a, (1, 3), ctx) * embed_legs(b, (1, 3), ctx)
+        assert embed_legs(pair.identity(), (1, 3), ctx) == ctx.identity()
 
     def test_embedding_matches_direct_r(self):
         ctx = tensor_context((1, 2, 1), D)
         pair = tensor_context((1, 1), D)
-        assert r_matrix((1, 3), ctx) == embed_two_leg(r_matrix((1, 2), pair), (1, 3), ctx)
+        assert r_matrix((1, 3), ctx) == embed_legs(r_matrix((1, 2), pair), (1, 3), ctx)
 
 
 class TestIntermediateCasimirs:
@@ -438,15 +452,15 @@ class TestC13SymbolicInRepresentation:
         assert represent(c13_zero_symbolic(), ctx) == ic["C13_0"]
 
 
-class TestPointDomainRepresentations:
+class TestFractionDomainRepresentations:
     def test_r_matrix_specializes(self):
         s0 = Fraction(3, 2)
-        pt = PointDomain(s0)
+        pt = FractionDomain(s0)
         sym = r_matrix((1, 2), tensor_context((1, 2), D))
         num = r_matrix((1, 2), tensor_context((1, 2), pt))
         assert sym.dim == num.dim
         for rc, v in sym.items():
-            assert v.evaluate(s0) == num.entry(rc[0], rc[1])
+            assert evaluate(v, s0) == num.entry(rc[0], rc[1])
 
 
 def _residues(m: ExactMatrix) -> ResidueMatrix:
@@ -460,7 +474,7 @@ def _assert_residue_entries(m: ExactMatrix):
 
 
 class TestResidueKernel:
-    """ResidueMatrix against the Fraction kernel of PointDomain reduced mod P."""
+    """ResidueMatrix against the Fraction kernel of FractionDomain reduced mod P."""
 
     # Fractions whose residues are 0, 1, P - 1 or near P, so sums and
     # products of residues wrap.
@@ -535,7 +549,7 @@ class TestResidueKernel:
             _assert_residue_entries(m)
 
     @pytest.mark.parametrize("domain, kind", [(D, ExactMatrix),
-                                              (PointDomain(Fraction(5, 3)), ExactMatrix),
+                                              (FractionDomain(Fraction(5, 3)), ExactMatrix),
                                               (ResidueDomain(Fraction(5, 3)), ResidueMatrix)],
                              ids=["symbolic", "point", "residue"])
     def test_domain_picks_the_kernel_and_results_keep_it(self, domain, kind):
@@ -544,10 +558,10 @@ class TestResidueKernel:
         a, b = spin_module(2, domain).e, spin_module(2, domain).k
         assert matrix_type(domain) is ctx.matrix is kind
         roots = [a, b, ctx.identity(), represent(coproduct(casimir()), pair), r_matrix((1, 2), pair),
-                 r_tilde_inverse((1, 2), pair), permutation_operator((1, 3), ctx),
+                 r_tilde_inverse((1, 2), pair), _permutation((1, 3), ctx),
                  coproduct_split_r(ctx, "id_coproduct"), *intermediate_casimirs(ctx).values()]
         derived = [a + b, a - b, -a, a * b, a.kron(b), a.scale(domain.q(1)), a.scale(domain.zero),
-                   embed_two_leg(r_matrix((1, 2), pair), (1, 2), ctx),
+                   embed_legs(r_matrix((1, 2), pair), (1, 2), ctx),
                    block_slice(ctx.identity(), frozenset({0, 1}))]
         assert all(type(m) is kind for m in roots + derived)
         other = ExactMatrix if kind is ResidueMatrix else ResidueMatrix

@@ -11,13 +11,15 @@ import pytest
 import qaw
 from qaw.scalars import (RESIDUE_PRIME, SAMPLE_POINT_COUNT, SYMBOLIC, CycloFrac,
                          ForbiddenPointError, LaurentPoly, NonCyclotomicError,
-                         PointDomain, PoleError, ResidueDomain,
+                         PoleError, ResidueDomain,
                          check_admissible_point, cyclotomic, laurent_divexact,
                          q_factorial, q_integer,
                          r_series_coefficient, random_admissible_point)
 from qaw.scalars import _divide_cyclotomic, _root_table
 from qaw.algebra import (c13_zero_symbolic, casimir, tau_argument_elements,
                          tau_closed_form)
+
+from fraction_domain import FractionDomain, evaluate
 
 
 def P(terms):
@@ -79,7 +81,7 @@ class TestLaurentPoly:
 
     def test_evaluate(self):
         a = P({2: 1, -2: 1})
-        assert a.evaluate(Fraction(2)) == Fraction(17, 4)
+        assert evaluate(a, Fraction(2)) == Fraction(17, 4)
 
     def test_ring_laws_random(self):
         rng = random.Random(7)
@@ -158,7 +160,7 @@ class TestDenseForm:
         assert p._lo == lo and p._c[0] and p._c[-1]
         assert p._st == math.gcd(*[e - lo for e in t])
         assert p.term_count() == len(t) and p.text() == _ref_text(t)
-        assert (p.min_exp(), p.max_exp(), p.leading_coefficient()) == (lo, max(t), t[max(t)])
+        assert (p.min_exp(), p.max_exp(), p._c[-1]) == (lo, max(t), t[max(t)])
 
     def test_ring_operations_against_reference(self):
         rng = random.Random(20)
@@ -177,7 +179,7 @@ class TestDenseForm:
             self._assert_canonical(a.shifted(k), {e + k: c for e, c in ta.items()})
             self._assert_canonical(a ** 3, _ref_mul(ta, _ref_mul(ta, ta)))
             s0 = Fraction(3, 2)
-            assert a.evaluate(s0) == sum(c * s0 ** e for e, c in ta.items())
+            assert evaluate(a, s0) == sum(c * s0 ** e for e, c in ta.items())
             if len(tb) > 1:  # b is not a unit, so b does not divide a*b + 1*s^k
                 assert laurent_divexact(a * b, b) == a
                 with pytest.raises(ArithmeticError):
@@ -469,13 +471,13 @@ class TestEvaluation:
                 check_admissible_point(Fraction(bad))
 
     def test_substitution(self):
-        assert q_integer(2).evaluate(Fraction(2)) == Fraction(17, 4)
-        assert r_series_coefficient(1).evaluate(Fraction(2)) == Fraction(15, 4)
+        assert evaluate(q_integer(2), Fraction(2)) == Fraction(17, 4)
+        assert evaluate(r_series_coefficient(1), Fraction(2)) == Fraction(15, 4)
 
     def test_pole(self):
         x = CycloFrac(1, P({1: 1, 0: -1}))  # pole at s = 1
         with pytest.raises(PoleError):
-            x.evaluate(Fraction(1))
+            evaluate(x, Fraction(1))
 
     def test_ring_homomorphism(self):
         rng = random.Random(3)
@@ -487,8 +489,8 @@ class TestEvaluation:
             b = CycloFrac(LaurentPoly({rng.randint(-3, 3): rng.randint(-5, 5)
                                        for _ in range(2)}),
                           LaurentPoly({0: 1, 2: 1}))
-            assert (a * b).evaluate(s0) == a.evaluate(s0) * b.evaluate(s0)
-            assert (a + b).evaluate(s0) == a.evaluate(s0) + b.evaluate(s0)
+            assert evaluate(a * b, s0) == evaluate(a, s0) * evaluate(b, s0)
+            assert evaluate(a + b, s0) == evaluate(a, s0) + evaluate(b, s0)
 
     def test_random_points_admissible(self):
         rng = random.Random(0)
@@ -502,31 +504,31 @@ class TestEvaluation:
 class TestDomains:
     def test_symbolic_and_point_agree(self):
         s0 = Fraction(5, 3)
-        pt, res = PointDomain(s0), ResidueDomain(s0)
+        pt, res = FractionDomain(s0), ResidueDomain(s0)
         for n in range(8):
-            assert SYMBOLIC.q_int(n).evaluate(s0) == pt.q_int(n)
-            assert SYMBOLIC.series_coeff(n).evaluate(s0) == pt.series_coeff(n)
+            assert evaluate(SYMBOLIC.q_int(n), s0) == pt.q_int(n)
+            assert evaluate(SYMBOLIC.series_coeff(n), s0) == pt.series_coeff(n)
             assert res.series_coeff(n) == _mod_p(pt.series_coeff(n))
-        assert SYMBOLIC.s(3).evaluate(s0) == pt.s(3)
+        assert evaluate(SYMBOLIC.s(3), s0) == pt.s(3)
 
     def test_point_domain_rejects_forbidden(self):
         with pytest.raises(ForbiddenPointError):
-            PointDomain(Fraction(1))
+            ResidueDomain(Fraction(1))
 
     def test_domain_hashing(self):
-        assert PointDomain(Fraction(5, 3)) == PointDomain(Fraction(5, 3))
-        assert hash(PointDomain(Fraction(5, 3))) == hash(PointDomain(Fraction(5, 3)))
-        assert PointDomain(Fraction(5, 3)) != SYMBOLIC
-        assert repr(PointDomain(Fraction(5, 3))) == "PointDomain(Fraction(5, 3))"
+        assert ResidueDomain(Fraction(5, 3)) == ResidueDomain(Fraction(5, 3))
+        assert hash(ResidueDomain(Fraction(5, 3))) == hash(ResidueDomain(Fraction(5, 3)))
+        assert ResidueDomain(Fraction(5, 3)) != ResidueDomain(Fraction(3, 5))
+        assert ResidueDomain(Fraction(5, 3)) != SYMBOLIC
         assert repr(ResidueDomain(Fraction(5, 3))) == "ResidueDomain(Fraction(5, 3))"
 
-    @pytest.mark.parametrize("domain", [SYMBOLIC, PointDomain(Fraction(5, 3)),
+    @pytest.mark.parametrize("domain", [SYMBOLIC, FractionDomain(Fraction(5, 3)),
                                         ResidueDomain(Fraction(5, 3))], ids=repr)
     def test_scalars_are_images(self, domain):
         # Each scalar a domain hands out is the image of its CycloFrac.  The
         # powers of s are computed in the field: at the point over Q, reduced
         # mod P, for the residue domain, whose ints have no arithmetic of their own.
-        field = PointDomain(domain.s0) if domain.modulus else domain
+        field = FractionDomain(domain.s0) if domain.modulus else domain
         for k in range(-5, 6):
             power = field.s(1) ** k
             assert domain.s(k) == domain.image(CycloFrac(LaurentPoly.s_power(k))) \
@@ -555,13 +557,13 @@ class TestResidueDomain:
     POINTS = (Fraction(5, 3), Fraction(51, 55), Fraction(2, 97), Fraction(-7, 4), Fraction(96, 95))
 
     def test_matches_point_domain_mod_p(self):
-        # PointDomain's Fraction values, reduced mod P, are the reference:
+        # FractionDomain's values, reduced mod P, are the reference:
         # the image of each value, and of sums, products and quotients of
         # values, is an int in [0, P) and falsy exactly when it is 0 mod P.
         rng = random.Random(13)
         gen = TestCycloFrac()
         for s0 in self.POINTS:
-            res, pt = ResidueDomain(s0), PointDomain(s0)
+            res, pt = ResidueDomain(s0), FractionDomain(s0)
             for _ in range(40):
                 a, b = gen._pair(rng), gen._pair(rng)
                 u = gen._pair(rng, cyclotomic_num=True)
@@ -579,8 +581,8 @@ class TestResidueDomain:
         assert res.s(1) * 3 % RESIDUE_PRIME == 5 and res.s(-1) * 5 % RESIDUE_PRIME == 3
         assert res.q(2) == res.s(4) == pow(res.s(1), 4, RESIDUE_PRIME)
         assert res.integer(-1) == RESIDUE_PRIME - 1 and not res.zero and res.one == 1
-        assert res.describe() == PointDomain(Fraction(5, 3)).describe() == "s=5/3"
-        assert res == ResidueDomain(Fraction(5, 3)) != PointDomain(Fraction(5, 3))
+        assert res.describe() == FractionDomain(Fraction(5, 3)).describe() == "s=5/3"
+        assert res == ResidueDomain(Fraction(5, 3)) != FractionDomain(Fraction(5, 3))
         assert hash(res) == hash(ResidueDomain(Fraction(5, 3)))
 
     def test_distinct_sample_points_have_distinct_residues(self):
@@ -588,13 +590,31 @@ class TestResidueDomain:
         assert len({ResidueDomain(s0).s(1) for s0 in points}) == len(points) == 5704
         assert SAMPLE_POINT_COUNT == len(points)
 
+    def test_small_orders_of_the_sample_points(self):
+        # Phi_d(s0) = 0 mod P only where s0 has order d.  A run's denominators
+        # have d <= 8 or d | 4n for an R-series index n, so d <= 240 below
+        # n = 61 (checks.py module docstring).  Only s0 = 2**k and 2**-k,
+        # k = 1..5, have an order at most 240, and it is 61: 2**61 = 1 mod P.
+        def small_order(x):
+            y = x
+            for d in range(1, 241):
+                if y == 1:
+                    return d
+                y = y * x % RESIDUE_PRIME
+            return None
+
+        powers_of_two = {Fraction(2) ** k for k in range(-5, 6) if k}
+        for s0 in (Fraction(p, r) for p in range(2, 98) for r in range(2, 98) if p != r):
+            expected = 61 if s0 in powers_of_two else None
+            assert small_order(ResidueDomain(s0).s(1)) == expected, s0
+
     def test_zero_denominator_mod_p_is_a_pole(self):
         assert pow(ORDER_THREE, 3, RESIDUE_PRIME) == 1 != ORDER_THREE
         s0 = Fraction(ORDER_THREE)
         assert ResidueDomain(s0).q_int(3) == 0
         with pytest.raises(PoleError):
             ResidueDomain(s0).series_coeff(3)
-        assert PointDomain(s0).series_coeff(3) != 0
+        assert FractionDomain(s0).series_coeff(3) != 0
         at_one = ResidueDomain(Fraction(2 ** 61))  # s0 = P + 1, so q - 1/q = 0 mod P
         with pytest.raises(PoleError):
             at_one.q_diff_inverse()
@@ -613,17 +633,17 @@ class TestImage:
 
     @pytest.mark.parametrize("s0", TestResidueDomain.POINTS)
     def test_point_and_residue_images(self, s0):
-        pt, res = PointDomain(s0), ResidueDomain(s0)
+        pt, res = FractionDomain(s0), ResidueDomain(s0)
         for c in self._coefficients():
             assert SYMBOLIC.image(c) is c
-            assert pt.image(c) == c.evaluate(s0)
+            assert pt.image(c) == evaluate(c, s0)
             assert res.image(c) * res.image(CycloFrac(c.denominator())) % RESIDUE_PRIME == \
                 res.image(CycloFrac(c.num))
-            assert res.image(c) == _mod_p(c.evaluate(s0))
+            assert res.image(c) == _mod_p(evaluate(c, s0))
 
     def test_residue_image_at_a_pole(self):
         at_one = ResidueDomain(Fraction(2 ** 61))  # s0 = P + 1, so q - 1/q = 0 mod P
         inv_qdiff = CycloFrac(1, LaurentPoly({2: 1, -2: -1}))
-        assert PointDomain(Fraction(2 ** 61)).image(inv_qdiff) != 0
+        assert FractionDomain(Fraction(2 ** 61)).image(inv_qdiff) != 0
         with pytest.raises(PoleError):
             at_one.image(inv_qdiff)
