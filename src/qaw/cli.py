@@ -40,8 +40,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "sample points in residues mod 2^61 - 1, with the "
                              "check groups that fail re-run once exactly for "
                              "their witnesses")
-    parser.add_argument("--points", type=int, default=20, metavar="N",
-                        help="number of sample points in eval mode (default: 20)")
+    parser.add_argument("--points", type=int, default=RunConfig.eval_points, metavar="N",
+                        help="number of sample points in eval mode (default: %(default)s)")
     parser.add_argument("--seed", type=int, default=0, metavar="S",
                         help="random seed for sample points and random elements")
     parser.add_argument("--json", metavar="PATH", default=None,

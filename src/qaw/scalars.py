@@ -22,9 +22,9 @@ is the exact scalar of the symbolic domain; any other denominator, an
 integer > 1 included, raises NonCyclotomicError.
 
 A :class:`ScalarDomain` selects what the matrix layer runs over: the
-symbolic field (CycloFrac values), or the value at an admissible point s0
-reduced modulo the prime P = 2**61 - 1 (plain ints in [0, P)), the latter
-for randomized Schwartz-Zippel style identity testing.  A domain is one
+symbolic field (CycloFrac values), or the value at an admissible residue s0
+modulo the prime P = 2**61 - 1 (plain ints in [0, P)), the latter for
+randomized Schwartz-Zippel style identity testing.  A domain is one
 ring map from Q(s) into its own scalars, ``ScalarDomain.image`` of a
 CycloFrac; every scalar the matrix layer takes from it (s**k, integers,
 q-integers, series coefficients, 1/(q - q^-1)) is the image of the matching
@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import inspect
 import random
-from fractions import Fraction
 from functools import lru_cache, wraps
 from itertools import cycle
 from math import gcd
@@ -49,7 +48,15 @@ from operator import add, mul, neg
 
 
 class ForbiddenPointError(ValueError):
-    """Raised for evaluation points where q = s**2 is degenerate (q**4 = 1)."""
+    """Raised for a residue s0 in {0, 1, P - 1} mod P, where q = s**2 is degenerate.
+
+    P - 1 = 2 * (odd), so no residue has order 4 or 8: q**4 = 1 only at
+    s0 = +-1, and every other nonzero residue is admissible.  Drawn
+    uniformly from those P - 3 residues, a point at which a residual F/G with
+    F != 0 mod P reads 0 mod P has probability at most deg F / (P - 3), and
+    k independent points all read 0 with probability at most
+    (deg F / (P - 3))**k.
+    """
 
 
 class PoleError(ZeroDivisionError):
@@ -753,31 +760,6 @@ def _q_diff_inverse() -> CycloFrac:
 
 
 # ---------------------------------------------------------------------------
-# sample points
-# ---------------------------------------------------------------------------
-
-def check_admissible_point(s0: Fraction) -> Fraction:
-    """Validate a sample point: s0 not in {0, 1, -1} and s0**4 != 1."""
-    s0 = Fraction(s0)
-    if s0 == 0 or s0 ** 4 == 1:
-        raise ForbiddenPointError(f"s = {s0} makes q = s**2 degenerate")
-    return s0
-
-
-# The number of distinct values p/r that random_admissible_point can return.
-SAMPLE_POINT_COUNT = 5704
-
-
-def random_admissible_point(rng: random.Random) -> Fraction:
-    """Sample s0 = p/r with 2 <= p, r <= 97 and p != r (so s0 is admissible)."""
-    while True:
-        p = rng.randint(2, 97)
-        r = rng.randint(2, 97)
-        if p != r:
-            return Fraction(p, r)
-
-
-# ---------------------------------------------------------------------------
 # scalar domains
 # ---------------------------------------------------------------------------
 
@@ -785,8 +767,8 @@ class ScalarDomain:
     """The scalars a computation runs over, given by one ring map from Q(s).
 
     ``SYMBOLIC`` computes with exact CycloFrac values; ``ResidueDomain(s0)``
-    with the values at s = s0 reduced mod P = 2**61 - 1, as plain ints in
-    [0, P).
+    with the values at the residue s = s0 mod P = 2**61 - 1, as plain ints
+    in [0, P).
     Values from any domain compare with == and are falsy exactly when zero.
     ``modulus`` says how the matrix kernel combines them: None for field
     values, by their own +, -, *; the prime P for ints, which the kernel
@@ -879,35 +861,46 @@ class SymbolicDomain(ScalarDomain):
 
 RESIDUE_PRIME = (1 << 61) - 1
 
+# The most points one eval run draws, poles included; also the cap on --points.
+SAMPLE_POINT_COUNT = 5704
+
+
+def random_admissible_point(rng: random.Random) -> int:
+    """A residue s0 drawn uniformly from [2, P - 2], the admissible residues."""
+    return rng.randrange(2, RESIDUE_PRIME - 1)
+
 
 class ResidueDomain(ScalarDomain):
-    """Arithmetic in Z/P at an admissible point s0 = p/r, mapped to p * r^-1 mod P.
+    """Arithmetic in Z/P at an admissible residue s0, not 0 and not +-1 mod P.
 
-    Every value is an int in [0, P): the rational value at s0 reduced mod P,
-    the reduction being a ring homomorphism on the rationals whose
-    denominator P does not divide; a denominator that is 0 mod P raises
-    PoleError.  A residue that is nonzero mod P proves the rational value
-    nonzero; a zero residue can be a false zero, as for any sample point.
-    Two residue domains are equal when they are at one point.
+    Every value is an int in [0, P): the image of a rational function under
+    the ring map s -> s0 into Z/P, defined where its denominator does not
+    vanish at s0; a denominator that is 0 mod P raises PoleError.  A value
+    that is nonzero mod P proves the rational function nonzero; a zero
+    value can be a false zero, as for any sample point.  Two residue domains
+    are equal when they are at one residue.
     """
 
     mode = "eval"
     modulus = RESIDUE_PRIME
 
-    def __init__(self, s0: Fraction):
+    def __init__(self, s0: int):
         super().__init__()
-        self.s0 = check_admissible_point(s0)
-        p, r = self.s0.numerator % RESIDUE_PRIME, self.s0.denominator % RESIDUE_PRIME
-        if not p or not r:
-            raise PoleError(f"s = {self.s0} has no invertible image mod 2^61-1")
-        self._s = p * pow(r, -1, RESIDUE_PRIME) % RESIDUE_PRIME
+        if not isinstance(s0, int):
+            raise TypeError(f"a residue point is an int, not {type(s0).__name__}")
+        self.s0 = s0 % RESIDUE_PRIME
+        if self.s0 in (0, 1, RESIDUE_PRIME - 1):
+            raise ForbiddenPointError(f"s = {self.s0} makes q = s**2 degenerate")
+        self._s_inv = pow(self.s0, -1, RESIDUE_PRIME)
 
     def _value(self, p: LaurentPoly) -> int:
         # Horner's rule in s**st.
-        x, total = pow(self._s, p._st, RESIDUE_PRIME), 0
+        x, total = pow(self.s0, p._st, RESIDUE_PRIME), 0
         for c in reversed(p._c):
             total = (total * x + c) % RESIDUE_PRIME
-        return total * pow(self._s, p._lo, RESIDUE_PRIME) % RESIDUE_PRIME
+        # s**lo; for a negative lo, a power of the inverse found in __init__.
+        shift = pow(self.s0 if p._lo >= 0 else self._s_inv, abs(p._lo), RESIDUE_PRIME)
+        return total * shift % RESIDUE_PRIME
 
     def image(self, c: CycloFrac) -> int:
         v = self._value(c.num)

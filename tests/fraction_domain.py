@@ -1,13 +1,20 @@
 """Exact rational evaluation at a sample point: the tests' Fraction oracle.
 
 qaw computes eval points only in residues mod P.  The tests check those
-residues against the value over Q at the same point, reduced mod P, so
-they keep this evaluator, and a scalar domain built on it, of their own.
+residues against the value over Q at a rational point p/r, reduced mod P,
+so they keep this evaluator, a scalar domain built on it, and the map of
+p/r to its residue, of their own.
 """
 
 from fractions import Fraction
 
-from qaw.scalars import CycloFrac, PoleError, ScalarDomain, check_admissible_point
+from qaw.scalars import RESIDUE_PRIME, CycloFrac, ForbiddenPointError, PoleError, ScalarDomain
+
+
+def mod_p(x: Fraction) -> int:
+    """The residue p * r^-1 mod P of x = p/r."""
+    x = Fraction(x)
+    return x.numerator * pow(x.denominator, -1, RESIDUE_PRIME) % RESIDUE_PRIME
 
 
 def evaluate(x, s0: Fraction) -> Fraction:
@@ -31,11 +38,12 @@ class FractionDomain(ScalarDomain):
 
     def __init__(self, s0: Fraction):
         super().__init__()
-        self.s0 = check_admissible_point(s0)
+        self.s0 = Fraction(s0)
+        if self.s0 == 0 or self.s0 ** 4 == 1:
+            raise ForbiddenPointError(f"s = {self.s0} makes q = s**2 degenerate")
 
     def image(self, c: CycloFrac) -> Fraction:
         return evaluate(c, self.s0)
 
     def describe(self) -> str:
         return f"s={self.s0}"
-

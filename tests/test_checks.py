@@ -24,9 +24,9 @@ from qaw.checks import (LEG_OPERANDS, CheckResult, ConfigurationError, ElementSt
                         negative_control_check, run_suite)
 from qaw.representations import (ExactMatrix, InternalMismatchError, spin_module,
                                  tensor_context)
-from qaw.scalars import RESIDUE_PRIME, SAMPLE_POINT_COUNT, SYMBOLIC, PoleError, ResidueDomain
+from qaw.scalars import SAMPLE_POINT_COUNT, SYMBOLIC, PoleError, ResidueDomain
 
-from fraction_domain import FractionDomain
+from fraction_domain import FractionDomain, mod_p
 
 
 def all_pass(results):
@@ -102,7 +102,7 @@ class TestRunSuite:
     def test_eval_points_validation(self):
         with pytest.raises(ConfigurationError):
             run_suite("aw3", RunConfig(suite="aw3", mode="eval", eval_points=0))
-        # There are 5704 distinct sample points; asking for more fails before any is run.
+        # A run draws at most 5704 points; asking for more fails before any is run.
         checks.validate_config("aw3", RunConfig(suite="aw3", mode="eval", eval_points=5704))
         with pytest.raises(ConfigurationError):
             run_suite("aw3", RunConfig(suite="aw3", mode="eval", eval_points=5705))
@@ -249,7 +249,9 @@ class TestEvalMode:
 
 
 def _verdicts(results):
-    return [(r.name, r.params, r.passed, r.residual_terms) for r in results]
+    """Each result without its point: a residue prints it as s=<residue>, not p/r."""
+    return [(r.name, {k: v for k, v in r.params.items() if k != "point"}, r.passed,
+             r.residual_terms) for r in results]
 
 
 def _timing_free(report):
@@ -270,12 +272,14 @@ class TestResiduePoints:
     @pytest.mark.parametrize("negative_control", [False, True])
     def test_residue_path_reproduces_the_rational_verdicts(self, spins, negative_control):
         # The same checks, parameters, verdicts and residual counts as over Q
-        # at the point; the witnesses differ, residues against fractions.
+        # at the point p/r, computed at its residue; the witnesses differ,
+        # residues against fractions.
         cfg = RunConfig(spins=spins, mode="eval", negative_control=negative_control)
         for s0 in (Fraction(51, 55), Fraction(43, 21)):
-            residue = _flat_sorted(_run_point("all", cfg, s0, ElementStore()))
+            residue = _flat_sorted(_run_point("all", cfg, mod_p(s0), ElementStore()))
             rational = _flat_sorted(_run_groups("all", cfg, FractionDomain(s0), ElementStore()))
             assert _verdicts(residue) == _verdicts(rational)
+            assert {r.params["point"] for r in residue} == {f"s={mod_p(s0)}"}
             assert any(not r.passed for r in residue) == negative_control
 
     @pytest.mark.parametrize("spins", [(1, 1, 1), (2, 1, 2)])
@@ -311,22 +315,29 @@ class TestResiduePoints:
         # [3]_q = 0 mod P, but E^3 is then 0 mod P on every module, so the
         # R-matrix series stops before it needs the coefficient a_3.
         cfg = RunConfig(suite="rmatrix", spins=(3, 3, 1), mode="eval")
-        s0 = Fraction(ORDER_THREE)
-        residue = _flat_sorted(_run_point("rmatrix", cfg, s0, ElementStore()))
+        residue = _flat_sorted(_run_point("rmatrix", cfg, ORDER_THREE, ElementStore()))
         assert residue and all(r.passed for r in residue)
+        rational = FractionDomain(Fraction(ORDER_THREE))
         assert _verdicts(residue) == _verdicts(
-            _flat_sorted(_run_groups("rmatrix", cfg, FractionDomain(s0), ElementStore())))
+            _flat_sorted(_run_groups("rmatrix", cfg, rational, ElementStore())))
 
     @pytest.mark.parametrize("suite, spins", [("rmatrix", (3, 3, 1)), ("all", (1, 1, 1))])
     def test_pole_mod_p_drops_the_point(self, monkeypatch, suite, spins):
-        # s0 = P + 1 is s = 1 mod P, so q - 1/q = 0 mod P.  In suite all the
-        # pole is also met where a PBW coefficient with q - 1/q in its
-        # denominator is mapped into the residue domain.
+        # The series stop before a pole (the test above), so here every
+        # series maps its coefficients up to a_3, or its bound if lower,
+        # before it runs.  a_3, within the bound of a series at both spins,
+        # has [3]_q = 0 mod P in its denominator at ORDER_THREE.
+        real_series = reps._series
+
+        def eager_series(a, b, coeff, n_max, one):
+            for n in range(min(n_max, 3) + 1):
+                coeff(n)
+            return real_series(a, b, coeff, n_max, one)
+        monkeypatch.setattr(reps, "_series", eager_series)
         cfg = RunConfig(suite=suite, spins=spins, mode="eval", eval_points=3)
-        at_pole = Fraction(RESIDUE_PRIME + 1)
-        assert _run_point(suite, cfg, at_pole, ElementStore()) is None
+        assert _run_point(suite, cfg, ORDER_THREE, ElementStore()) is None
         expected = _timing_free(run_suite(suite, cfg))
-        draws = iter([at_pole])
+        draws = iter([ORDER_THREE])
         real = checks.random_admissible_point
         monkeypatch.setattr(checks, "random_admissible_point",
                             lambda rng: next(draws, None) or real(rng))
@@ -335,6 +346,14 @@ class TestResiduePoints:
         assert all(c.params["points"] == 3 for c in report.checks if "points" in c.params)
         assert _timing_free(report) == expected
 
+    def test_a_repeated_draw_is_a_new_point(self, monkeypatch):
+        # Draws are independent and uniform, so a residue drawn twice is run
+        # and counted twice; no draw is skipped for having been seen before.
+        monkeypatch.setattr(checks, "random_admissible_point", lambda rng: 5)
+        report = run_suite("aw3", RunConfig(suite="aw3", mode="eval", eval_points=3))
+        assert report.passed
+        counted = [c.params["points"] for c in report.checks if "points" in c.params]
+        assert counted and set(counted) == {3}
     def test_sampling_stops_when_the_points_run_out(self, monkeypatch):
         # Every point a pole: the draws end with the sample points, not in a loop.
         monkeypatch.setattr(checks, "_run_point", lambda *args: None)
@@ -461,7 +480,7 @@ class TestRestrictedChecks:
 
     @pytest.mark.parametrize("group", [check_aw3, check_theorem_c13])
     @pytest.mark.parametrize("store_spins, domain", [
-        ((2, 1, 2), SYMBOLIC), ((1, 1, 1), ResidueDomain(Fraction(5, 3)))])
+        ((2, 1, 2), SYMBOLIC), ((1, 1, 1), ResidueDomain(mod_p(Fraction(5, 3))))])
     def test_store_on_another_context_is_rejected(self, group, store_spins, domain):
         store = RunStore(tensor_context(store_spins, domain))
         with pytest.raises(alg.ArityMismatchError, match="cannot check"):
@@ -542,12 +561,11 @@ class TestRestrictedChecks:
         assert calls == [(1, 2, 1)]
 
 
-def _mod_p(x: Fraction) -> int:
-    return x.numerator * pow(x.denominator, -1, RESIDUE_PRIME) % RESIDUE_PRIME
-
+# The residue domain's rational point: its reference over Q, reduced mod P.
+RESIDUE_POINT = Fraction(43, 21)
 
 DOMAINS = pytest.mark.parametrize(
-    "domain", [SYMBOLIC, FractionDomain(Fraction(5, 3)), ResidueDomain(Fraction(43, 21))],
+    "domain", [SYMBOLIC, FractionDomain(Fraction(5, 3)), ResidueDomain(mod_p(RESIDUE_POINT))],
     ids=["symbolic", "point", "residue"])
 
 
@@ -631,14 +649,14 @@ class TestLegCertificates:
     def test_sub_matches_an_entrywise_reference(self, domain):
         # The residue domain's reference is the difference in the field at
         # its point, reduced mod P.
-        field = FractionDomain(domain.s0) if domain.modulus else domain
+        field = FractionDomain(RESIDUE_POINT) if domain.modulus else domain
 
         def reference(x, y):
             keys = {rc for rc, _ in x.items()} | {rc for rc, _ in y.items()}
             diffs = {rc: (x.entry(*rc) or field.zero) - (y.entry(*rc) or field.zero)
                      for rc in keys}
             if domain.modulus:
-                diffs = {rc: _mod_p(w) for rc, w in diffs.items()}
+                diffs = {rc: mod_p(w) for rc, w in diffs.items()}
             return {rc: w for rc, w in diffs.items() if w}
         a, b, c, d, zero = self._sub_operands(domain)
         fa, fb, fc, fd, fzero = self._sub_operands(field)

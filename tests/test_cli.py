@@ -15,7 +15,8 @@ REPORT_GOLDENS = {
     "report_all_exact_1-1-1-1.json": ["--spins", "1,1,1,1"],
     "report_tau_exact_1-2.json": ["--suite", "tau", "--spins", "1,2"],
     "report_all_eval_2-1-2_seed7_negative_control.json":
-        ["--spins", "2,1,2", "--mode", "eval", "--seed", "7", "--negative-control"],
+        ["--spins", "2,1,2", "--mode", "eval", "--points", "20", "--seed", "7",
+         "--negative-control"],
 }
 
 
@@ -35,7 +36,7 @@ class TestParseArgs:
         assert cfg.suite == "all"
         assert cfg.spins == (1, 1, 1)
         assert cfg.mode == "exact"
-        assert cfg.eval_points == 20
+        assert cfg.eval_points == 3
         assert cfg.rng_seed == 0
 
     def test_aw4_spins(self):
@@ -55,7 +56,7 @@ class TestParseArgs:
         assert exc.value.code == 2
 
     def test_points_beyond_the_sample_set_are_a_usage_error(self):
-        # parse_args validates without running: 5704 distinct sample points exist.
+        # parse_args validates without running: a run draws at most 5704 points.
         assert parse_args(["--mode", "eval", "--points", "5704"]).eval_points == 5704
         with pytest.raises(SystemExit) as exc:
             parse_args(["--mode", "eval", "--points", "5705"])

@@ -23,7 +23,7 @@ from qaw.representations import (ExactMatrix, InternalMismatchError, ResidueMatr
 from qaw.scalars import (RESIDUE_PRIME, SYMBOLIC, CycloFrac, LaurentPoly,
                          ResidueDomain, add_into, q_integer)
 
-from fraction_domain import FractionDomain, evaluate
+from fraction_domain import FractionDomain, evaluate, mod_p
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -31,7 +31,7 @@ D = SYMBOLIC
 
 # The three scalar domains every leg-factor construction is compared in.
 DOMAINS = pytest.mark.parametrize("domain", [D, FractionDomain(Fraction(5, 3)),
-                                             ResidueDomain(Fraction(43, 21))],
+                                             ResidueDomain(mod_p(Fraction(43, 21)))],
                                   ids=["symbolic", "point", "residue"])
 
 
@@ -75,28 +75,24 @@ def _permutation(legs: tuple[int, int], ctx) -> ExactMatrix:
     return ctx.matrix(ctx.total_dim, out)
 
 
-def _mod_p(x: Fraction) -> int:
-    return x.numerator * pow(x.denominator, -1, RESIDUE_PRIME) % RESIDUE_PRIME
-
-
 def _single_terms(x: TensorElement):
     return [TensorElement(x.arity, {key: c}) for key, c in x.items()]
 
 
 class TestSparseSums:
     @pytest.mark.parametrize("domain", [D, FractionDomain(Fraction(5, 3)),
-                                        ResidueDomain(Fraction(5, 3))],
+                                        ResidueDomain(mod_p(Fraction(5, 3)))],
                              ids=["symbolic", "point", "residue"])
     def test_sums_match_term_by_term_and_hold_no_zero(self, domain):
         # The residue domain's ints are summed only by its matrix kernel, so
-        # its reference is the sum in the field at its point, reduced mod P.
-        field = FractionDomain(domain.s0) if domain.modulus else domain
+        # its reference is the sum in the field at its point 5/3, reduced mod P.
+        field = FractionDomain(Fraction(5, 3)) if domain.modulus else domain
 
-        def check(result, pieces, zero=field.zero, mod_p=False):
+        def check(result, pieces, zero=field.zero, residues=False):
             entries = dict(result.terms if isinstance(result, LaurentPoly) else result.items())
             want = _term_by_term(zero, pieces)
-            if mod_p:
-                want = {key: r for key, v in want.items() if (r := _mod_p(v))}
+            if residues:
+                want = {key: r for key, v in want.items() if (r := mod_p(v))}
             assert entries == want
             assert all(entries.values())
 
@@ -139,9 +135,9 @@ class TestSparseSums:
             return m, (mod.f - mod.k, mod.k, -m)
         (m, ns), (fm, fns) = operands(domain), operands(field)
         for n, fn in zip(ns, fns):
-            check(m + n, [*fm.items(), *fn.items()], mod_p=bool(domain.modulus))
+            check(m + n, [*fm.items(), *fn.items()], residues=bool(domain.modulus))
             check(m - n, [*fm.items(), *((rc, -w) for rc, w in fn.items())],
-                  mod_p=bool(domain.modulus))
+                  residues=bool(domain.modulus))
         assert (m - m).is_zero()
 
 
@@ -465,7 +461,7 @@ class TestFractionDomainRepresentations:
 
 def _residues(m: ExactMatrix) -> ResidueMatrix:
     """A matrix of Fractions reduced mod P entrywise, the entries 0 mod P dropped."""
-    return ResidueMatrix(m.dim, {rc: _mod_p(v) for rc, v in m.items()})
+    return ResidueMatrix(m.dim, {rc: mod_p(v) for rc, v in m.items()})
 
 
 def _assert_residue_entries(m: ExactMatrix):
@@ -511,7 +507,7 @@ class TestResidueKernel:
                 self._assert_same(-ra, -a)
                 assert ra.scale(0).is_zero() and ra.scale(RESIDUE_PRIME).is_zero()
                 self._assert_same(ra.scale(RESIDUE_PRIME - 1), a.scale(Fraction(-1)))
-                self._assert_same(ra.scale(_mod_p(Fraction(3, 5))), a.scale(Fraction(3, 5)))
+                self._assert_same(ra.scale(mod_p(Fraction(3, 5))), a.scale(Fraction(3, 5)))
 
     def test_product_entries_that_cancel_or_add_up_to_p(self):
         x = 12345
@@ -533,7 +529,7 @@ class TestResidueKernel:
 
     @pytest.mark.parametrize("spins", [(1, 1, 1), (2, 1, 2), (1, 2, 1, 1)])
     def test_entries_at_a_residue_point_are_ints_in_range(self, spins):
-        ctx = tensor_context(spins, ResidueDomain(Fraction(43, 21)))
+        ctx = tensor_context(spins, ResidueDomain(mod_p(Fraction(43, 21))))
         rng = random.Random(7)
         leg = tensor_context(spins[:1], ctx.domain)
         mats = [ctx.identity()] + [represent(random_element(c.arity, rng), c)
@@ -550,7 +546,7 @@ class TestResidueKernel:
 
     @pytest.mark.parametrize("domain, kind", [(D, ExactMatrix),
                                               (FractionDomain(Fraction(5, 3)), ExactMatrix),
-                                              (ResidueDomain(Fraction(5, 3)), ResidueMatrix)],
+                                              (ResidueDomain(mod_p(Fraction(5, 3))), ResidueMatrix)],
                              ids=["symbolic", "point", "residue"])
     def test_domain_picks_the_kernel_and_results_keep_it(self, domain, kind):
         ctx = tensor_context((1, 2, 1), domain)

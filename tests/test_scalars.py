@@ -9,17 +9,17 @@ from pathlib import Path
 import pytest
 
 import qaw
-from qaw.scalars import (RESIDUE_PRIME, SAMPLE_POINT_COUNT, SYMBOLIC, CycloFrac,
+from qaw.scalars import (RESIDUE_PRIME, SYMBOLIC, CycloFrac,
                          ForbiddenPointError, LaurentPoly, NonCyclotomicError,
                          PoleError, ResidueDomain,
-                         check_admissible_point, cyclotomic, laurent_divexact,
+                         cyclotomic, laurent_divexact,
                          q_factorial, q_integer,
                          r_series_coefficient, random_admissible_point)
 from qaw.scalars import _divide_cyclotomic, _root_table
 from qaw.algebra import (c13_zero_symbolic, casimir, tau_argument_elements,
                          tau_closed_form)
 
-from fraction_domain import FractionDomain, evaluate
+from fraction_domain import FractionDomain, evaluate, mod_p
 
 
 def P(terms):
@@ -468,7 +468,7 @@ class TestEvaluation:
     def test_forbidden_points(self):
         for bad in (0, 1, -1):
             with pytest.raises(ForbiddenPointError):
-                check_admissible_point(Fraction(bad))
+                FractionDomain(Fraction(bad))
 
     def test_substitution(self):
         assert evaluate(q_integer(2), Fraction(2)) == Fraction(17, 4)
@@ -493,46 +493,54 @@ class TestEvaluation:
             assert evaluate(a + b, s0) == evaluate(a, s0) + evaluate(b, s0)
 
     def test_random_points_admissible(self):
-        rng = random.Random(0)
-        for _ in range(100):
-            s0 = random_admissible_point(rng)
-            assert s0 not in (0, 1, -1)
-            assert s0 ** 4 != 1
-            assert s0 > 0
+        # Seeded draws repeat, and each is a residue in [2, P - 2].
+        rng, again = random.Random(5), random.Random(5)
+        points = [random_admissible_point(rng) for _ in range(100)]
+        assert points == [random_admissible_point(again) for _ in range(100)]
+        assert all(type(s0) is int and 2 <= s0 <= RESIDUE_PRIME - 2 for s0 in points)
 
 
 class TestDomains:
     def test_symbolic_and_point_agree(self):
         s0 = Fraction(5, 3)
-        pt, res = FractionDomain(s0), ResidueDomain(s0)
+        pt, res = FractionDomain(s0), ResidueDomain(mod_p(s0))
         for n in range(8):
             assert evaluate(SYMBOLIC.q_int(n), s0) == pt.q_int(n)
             assert evaluate(SYMBOLIC.series_coeff(n), s0) == pt.series_coeff(n)
-            assert res.series_coeff(n) == _mod_p(pt.series_coeff(n))
+            assert res.series_coeff(n) == mod_p(pt.series_coeff(n))
         assert evaluate(SYMBOLIC.s(3), s0) == pt.s(3)
 
-    def test_point_domain_rejects_forbidden(self):
-        with pytest.raises(ForbiddenPointError):
-            ResidueDomain(Fraction(1))
+    def test_residue_domain_rejects_forbidden_points(self):
+        # P - 1 = 2 * (odd): no residue has order 4 or 8, so s**8 = 1 only at
+        # s = +-1, and 0, 1 and P - 1 are the only residues to reject.
+        assert (RESIDUE_PRIME - 1) % 4 == 2
+        for bad in (0, 1, RESIDUE_PRIME - 1, RESIDUE_PRIME + 1, -1):
+            with pytest.raises(ForbiddenPointError):
+                ResidueDomain(bad)
+        with pytest.raises(TypeError):
+            ResidueDomain(Fraction(5, 3))
+        assert ResidueDomain(RESIDUE_PRIME + 2).s0 == 2
 
     def test_domain_hashing(self):
-        assert ResidueDomain(Fraction(5, 3)) == ResidueDomain(Fraction(5, 3))
-        assert hash(ResidueDomain(Fraction(5, 3))) == hash(ResidueDomain(Fraction(5, 3)))
-        assert ResidueDomain(Fraction(5, 3)) != ResidueDomain(Fraction(3, 5))
-        assert ResidueDomain(Fraction(5, 3)) != SYMBOLIC
-        assert repr(ResidueDomain(Fraction(5, 3))) == "ResidueDomain(Fraction(5, 3))"
+        five_thirds = mod_p(Fraction(5, 3))
+        assert ResidueDomain(five_thirds) == ResidueDomain(five_thirds + RESIDUE_PRIME)
+        assert hash(ResidueDomain(five_thirds)) == hash(ResidueDomain(five_thirds))
+        assert ResidueDomain(five_thirds) != ResidueDomain(mod_p(Fraction(3, 5)))
+        assert ResidueDomain(five_thirds) != SYMBOLIC
+        assert repr(ResidueDomain(five_thirds)) == f"ResidueDomain({five_thirds})"
 
     @pytest.mark.parametrize("domain", [SYMBOLIC, FractionDomain(Fraction(5, 3)),
-                                        ResidueDomain(Fraction(5, 3))], ids=repr)
+                                        ResidueDomain(mod_p(Fraction(5, 3)))], ids=repr)
     def test_scalars_are_images(self, domain):
         # Each scalar a domain hands out is the image of its CycloFrac.  The
-        # powers of s are computed in the field: at the point over Q, reduced
-        # mod P, for the residue domain, whose ints have no arithmetic of their own.
-        field = FractionDomain(domain.s0) if domain.modulus else domain
+        # powers of s are computed in the field: at the point 5/3 over Q,
+        # reduced mod P, for the residue domain, whose ints have no arithmetic
+        # of their own.
+        field = FractionDomain(Fraction(5, 3)) if domain.modulus else domain
         for k in range(-5, 6):
             power = field.s(1) ** k
             assert domain.s(k) == domain.image(CycloFrac(LaurentPoly.s_power(k))) \
-                == (_mod_p(power) if domain.modulus else power)
+                == (mod_p(power) if domain.modulus else power)
             assert domain.q(k) == domain.image(CycloFrac(LaurentPoly.q_power(k))) \
                 == domain.s(2 * k)
             assert domain.integer(k) == domain.image(CycloFrac(k))
@@ -543,10 +551,6 @@ class TestDomains:
             assert domain.q_int(n) == domain.image(CycloFrac(q_integer(n)))
             assert domain.series_coeff(n) == domain.image(r_series_coefficient(n))
         assert type(domain.s(1)) is type(domain.series_coeff(2)) is type(domain.zero)
-
-
-def _mod_p(x: Fraction) -> int:
-    return x.numerator * pow(x.denominator, -1, RESIDUE_PRIME) % RESIDUE_PRIME
 
 
 # An integer of multiplicative order 3 mod P: q = s0**2 has order 3, so [3]_q = 0 mod P.
@@ -563,7 +567,7 @@ class TestResidueDomain:
         rng = random.Random(13)
         gen = TestCycloFrac()
         for s0 in self.POINTS:
-            res, pt = ResidueDomain(s0), FractionDomain(s0)
+            res, pt = ResidueDomain(mod_p(s0)), FractionDomain(s0)
             for _ in range(40):
                 a, b = gen._pair(rng), gen._pair(rng)
                 u = gen._pair(rng, cyclotomic_num=True)
@@ -572,54 +576,42 @@ class TestResidueDomain:
                 n = rng.randint(-3, 3)
                 for x in (a, b, u, poly, a + b, a - b, a * b, a / u, u ** n, -a,
                           3 + a, a - 5, 2 - a, a * -4, 1 / u):
-                    got, want = res.image(x), _mod_p(pt.image(x))
+                    got, want = res.image(x), mod_p(pt.image(x))
                     assert type(got) is int and 0 <= got < RESIDUE_PRIME
                     assert got == want and bool(got) == (pt.image(x) != 0)
 
     def test_domain_values(self):
-        res = ResidueDomain(Fraction(5, 3))
+        five_thirds = mod_p(Fraction(5, 3))
+        res = ResidueDomain(five_thirds)
         assert res.s(1) * 3 % RESIDUE_PRIME == 5 and res.s(-1) * 5 % RESIDUE_PRIME == 3
         assert res.q(2) == res.s(4) == pow(res.s(1), 4, RESIDUE_PRIME)
         assert res.integer(-1) == RESIDUE_PRIME - 1 and not res.zero and res.one == 1
-        assert res.describe() == FractionDomain(Fraction(5, 3)).describe() == "s=5/3"
-        assert res == ResidueDomain(Fraction(5, 3)) != FractionDomain(Fraction(5, 3))
-        assert hash(res) == hash(ResidueDomain(Fraction(5, 3)))
+        assert res.describe() == f"s={five_thirds}"
+        assert res == ResidueDomain(five_thirds) != FractionDomain(Fraction(5, 3))
+        assert hash(res) == hash(ResidueDomain(five_thirds))
 
-    def test_distinct_sample_points_have_distinct_residues(self):
-        points = {Fraction(p, r) for p in range(2, 98) for r in range(2, 98) if p != r}
-        assert len({ResidueDomain(s0).s(1) for s0 in points}) == len(points) == 5704
-        assert SAMPLE_POINT_COUNT == len(points)
-
-    def test_small_orders_of_the_sample_points(self):
-        # Phi_d(s0) = 0 mod P only where s0 has order d.  A run's denominators
-        # have d <= 8 or d | 4n for an R-series index n, so d <= 240 below
-        # n = 61 (checks.py module docstring).  Only s0 = 2**k and 2**-k,
-        # k = 1..5, have an order at most 240, and it is 61: 2**61 = 1 mod P.
-        def small_order(x):
-            y = x
-            for d in range(1, 241):
-                if y == 1:
-                    return d
-                y = y * x % RESIDUE_PRIME
-            return None
-
-        powers_of_two = {Fraction(2) ** k for k in range(-5, 6) if k}
-        for s0 in (Fraction(p, r) for p in range(2, 98) for r in range(2, 98) if p != r):
-            expected = 61 if s0 in powers_of_two else None
-            assert small_order(ResidueDomain(s0).s(1)) == expected, s0
+    def test_q_minus_and_plus_q_inverse_never_vanish(self):
+        # The pole argument of the checks.py module docstring: the orders up
+        # to 8 that divide P - 1 leave out 4 and 8, so s**8 = 1 only at
+        # s = +-1, and q - 1/q and q + 1/q are units at every admissible draw.
+        assert [d for d in range(1, 9) if (RESIDUE_PRIME - 1) % d == 0] == [1, 2, 3, 5, 6, 7]
+        assert math.gcd(8, RESIDUE_PRIME - 1) == 2
+        inv_qsum = CycloFrac(1, LaurentPoly({2: 1, -2: 1}))
+        rng = random.Random(11)
+        for _ in range(200):
+            res = ResidueDomain(random_admissible_point(rng))
+            assert pow(res.s0, 8, RESIDUE_PRIME) != 1
+            assert res.q_diff_inverse() != 0 and res.image(inv_qsum) != 0
 
     def test_zero_denominator_mod_p_is_a_pole(self):
         assert pow(ORDER_THREE, 3, RESIDUE_PRIME) == 1 != ORDER_THREE
-        s0 = Fraction(ORDER_THREE)
-        assert ResidueDomain(s0).q_int(3) == 0
+        res = ResidueDomain(ORDER_THREE)
+        assert res.q_int(3) == 0
         with pytest.raises(PoleError):
-            ResidueDomain(s0).series_coeff(3)
-        assert FractionDomain(s0).series_coeff(3) != 0
-        at_one = ResidueDomain(Fraction(2 ** 61))  # s0 = P + 1, so q - 1/q = 0 mod P
+            res.series_coeff(3)
         with pytest.raises(PoleError):
-            at_one.q_diff_inverse()
-        with pytest.raises(PoleError):
-            ResidueDomain(Fraction(RESIDUE_PRIME, 2))
+            res.image(CycloFrac(1, q_integer(3)))
+        assert FractionDomain(Fraction(ORDER_THREE)).series_coeff(3) != 0
 
 
 class TestImage:
@@ -633,17 +625,17 @@ class TestImage:
 
     @pytest.mark.parametrize("s0", TestResidueDomain.POINTS)
     def test_point_and_residue_images(self, s0):
-        pt, res = FractionDomain(s0), ResidueDomain(s0)
+        pt, res = FractionDomain(s0), ResidueDomain(mod_p(s0))
         for c in self._coefficients():
             assert SYMBOLIC.image(c) is c
             assert pt.image(c) == evaluate(c, s0)
             assert res.image(c) * res.image(CycloFrac(c.denominator())) % RESIDUE_PRIME == \
                 res.image(CycloFrac(c.num))
-            assert res.image(c) == _mod_p(evaluate(c, s0))
+            assert res.image(c) == mod_p(evaluate(c, s0))
 
     def test_residue_image_at_a_pole(self):
-        at_one = ResidueDomain(Fraction(2 ** 61))  # s0 = P + 1, so q - 1/q = 0 mod P
-        inv_qdiff = CycloFrac(1, LaurentPoly({2: 1, -2: -1}))
-        assert FractionDomain(Fraction(2 ** 61)).image(inv_qdiff) != 0
+        # q = ORDER_THREE**2 has order 3, so [3]_q = 0 mod P.
+        inv_q3 = CycloFrac(1, q_integer(3))
+        assert FractionDomain(Fraction(ORDER_THREE)).image(inv_q3) != 0
         with pytest.raises(PoleError):
-            at_one.image(inv_qdiff)
+            ResidueDomain(ORDER_THREE).image(inv_q3)
